@@ -577,6 +577,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as err:
+        print(f"resource limit: {err or type(err).__name__}", file=sys.stderr)
+        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -244,6 +244,21 @@ class TestVerify:
         assert code == 1
         assert "resource limit" in err
 
+    @pytest.mark.parametrize(
+        "error", [RecursionError("maximum recursion depth exceeded"), MemoryError()]
+    )
+    def test_interpreter_limits_exit_one(self, capsys, monkeypatch, error):
+        def blow_up(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("walled_tangles.cli.verify_schur_weyl", blow_up)
+        code, _, err = run_cli(
+            capsys, "verify", "duality", "--n", "2", "--r", "1", "--s", "1"
+        )
+        assert code == 1
+        assert err.startswith("resource limit: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("suite", ["skein", "linking"])
     def test_sampled_suites_echo_their_seed(self, capsys, suite):
         data = run_json(

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import compose_brauer, permutation_words
+from dense_commutant import dense_commutant_dim
 
+import walled_tangles.duality as duality
 from walled_tangles.duality import (
     ResourceLimitError,
     annihilator_dims,
@@ -20,8 +22,8 @@ from walled_tangles.duality import (
     verify_schur_weyl,
 )
 from walled_tangles.laurent import LaurentPoly, lp_eval
-from walled_tangles.qgroup import gen_on_mixed
-from walled_tangles.rep import matrix_of_connector, matrix_of_element
+from walled_tangles.qgroup import K, gen_on_mixed
+from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element
 from walled_tangles.skein import identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
     Connector,
@@ -56,6 +58,37 @@ class TestExactRanks:
     @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)])
     def test_rank_is_preserved_across_the_wall(self, n, r, s):
         assert image_rank(n, r + s, 0, Q0) == image_rank(n, r, s, Q0)
+
+    @pytest.mark.parametrize(
+        "q0", [Q0, -Q0, Fraction(2), Fraction(1), Fraction(-1)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "n,r,s",
+        [(2, 1, 0), (2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 3, 0), (2, 2, 2), (4, 1, 1)],
+    )
+    def test_blocked_commutant_matches_the_dense_system(self, n, r, s, q0):
+        assert commutant_dim(n, r, s, q0) == dense_commutant_dim(n, r, s, q0)
+
+    @pytest.mark.parametrize("n,r,s,dim", [(3, 2, 1, 6), (2, 3, 2, 42), (3, 2, 2, 23)])
+    def test_frozen_larger_instances(self, n, r, s, dim):
+        assert commutant_dim(n, r, s, Q0) == dim
+        assert image_rank(n, r, s, Q0) == dim
+
+    def test_non_diagonal_cartan_unit_is_rejected(self, monkeypatch):
+        exact = duality.gen_on_mixed
+
+        def skewed(gen, boundary, n):
+            matrix = exact(gen, boundary, n)
+            if isinstance(gen, K):
+                labels = sorted({row for row, _ in matrix.entries})
+                matrix = matrix + OperatorMatrix(
+                    n, boundary, boundary, {(labels[0], labels[1]): LaurentPoly.const(1)}
+                )
+            return matrix
+
+        monkeypatch.setattr(duality, "gen_on_mixed", skewed)
+        with pytest.raises(RuntimeError, match="diagonal"):
+            commutant_dim(2, 1, 1, Q0)
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -110,6 +143,20 @@ class TestVerifyReport:
         report = verify_schur_weyl(2, 1, 1, Fraction(7, 4))
         assert report.all_pass
         assert report.q0 == Fraction(7, 4)
+
+    def test_fallback_names_both_points(self, monkeypatch):
+        exact = duality.commutant_dim
+
+        def drops_rank_at_q0(n, r, s, q0):
+            return exact(n, r, s, q0) + (q0 == Q0)
+
+        monkeypatch.setattr(duality, "commutant_dim", drops_rank_at_q0)
+        report = verify_schur_weyl(2, 1, 1, Q0)
+        assert report.all_pass
+        assert report.q0 == duality.RETRY_POINTS[0]
+        (detail,) = [c.detail for c in report.claims if c.name == "rankMatch"]
+        assert f"at q = {duality.RETRY_POINTS[0]}" in detail
+        assert f"requested q = {Q0}" in detail
 
     def test_json_shape(self):
         report = verify_schur_weyl(2, 1, 1, Q0)
