@@ -19,19 +19,18 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from math import factorial, gcd, lcm
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
-from .rep import MultiIndex, OperatorMatrix, label_tuples, matrix_of_connector
+from .rep import MultiIndex, label_tuples, matrix_of_connector, specialized_word_matrices
 from .skein import bend_element, bend_first, hecke_to_walled
 from .tangle import (
-    DOWN,
     Connector,
-    TangleType,
     algebra_type,
     all_down_type,
+    canonical_basis_word,
     enumerate_connectors,
     render_type,
 )
@@ -77,13 +76,8 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, ExactRational]]) -> int:
     work: dict[int, dict] = {}
     holders: dict[Hashable, set[int]] = {}
     for rid, row in enumerate(rows):
-        den = 1
-        for value in row.values():
-            den = den * value.denominator // gcd(den, value.denominator)
-        ints = {}
-        for col, value in row.items():
-            if value:
-                ints[col] = value.numerator * (den // value.denominator)
+        den = lcm(*(value.denominator for value in row.values()))
+        ints = {col: value.numerator * (den // value.denominator) for col, value in row.items() if value}
         if not ints:
             continue
         g = gcd(*ints.values())
@@ -127,10 +121,6 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, ExactRational]]) -> int:
     return rank
 
 
-def _specialized(matrix: OperatorMatrix, q0: ExactRational) -> dict:
-    return {key: Fraction(value) for key, value in matrix.evaluate(q0).items()}
-
-
 # -- the two sides of the duality ---------------------------------------------
 
 
@@ -161,27 +151,22 @@ def _require_budget(variables: int, what: str) -> None:
 def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     """Rank of the span of all basis diagram matrices at the specialization.
 
-    Each of the (r+s)! connectors is rendered as an operator on the mixed
-    tensor space, flattened to a sparse vector; elimination runs over the
-    union of the occupied positions, so the cost scales with the number of
-    basis elements and their support, not with the full matrix square.
+    Each of the (r+s)! connectors is rendered from its canonical basis word
+    directly at q0 by ``specialized_word_matrices``, which is exact because
+    specializing q is a ring homomorphism.  Each matrix is flattened to a
+    sparse vector; elimination runs over the union of the occupied
+    positions, so the cost scales with the number of basis elements and
+    their support, not with the full matrix square.
     """
     m = r + s
     _require_budget(factorial(m), "the basis dependency system")
-    ty = algebra_type(r, s)
-    labels = list(label_tuples(n, m))
-    index = {label: t for t, label in enumerate(labels)}
-    size = n**m
-    sparse_rows = []
-    for connector in enumerate_connectors(ty):
-        values = _specialized(matrix_of_connector(connector, n), q0)
-        sparse_rows.append(
-            {
-                index[row_label] * size + index[col_label]: value
-                for (row_label, col_label), value in values.items()
-            }
-        )
-    return _rank_of_rows(sparse_rows)
+    index = {label: t for t, label in enumerate(label_tuples(n, m))}
+    size = len(index)
+    words = [canonical_basis_word(connector) for connector in enumerate_connectors(algebra_type(r, s))]
+    return _rank_of_rows(
+        {index[row] * size + index[col]: value for (row, col), value in values.items()}
+        for values in specialized_word_matrices(words, n, q0)
+    )
 
 
 def _weight_classes(
@@ -200,7 +185,7 @@ def _weight_classes(
     for gen in sweep:
         if not isinstance(gen, K):
             continue
-        action = _specialized(gen_on_mixed(gen, boundary, n), q0)
+        action = gen_on_mixed(gen, boundary, n).evaluate(q0)
         if any(row != col for row, col in action):
             raise RuntimeError(f"{gen} does not act diagonally on the labels")
         for label in labels:
@@ -236,9 +221,7 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
             continue
         by_row: dict[MultiIndex, list] = {}
         by_col: dict[MultiIndex, list] = {}
-        for (row_label, col_label), value in _specialized(
-            gen_on_mixed(gen, boundary, n), q0
-        ).items():
+        for (row_label, col_label), value in gen_on_mixed(gen, boundary, n).evaluate(q0).items():
             by_row.setdefault(row_label, []).append((col_label, value))
             by_col.setdefault(col_label, []).append((row_label, value))
         system: dict[tuple[MultiIndex, MultiIndex], dict[int, Fraction]] = {}

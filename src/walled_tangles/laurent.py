@@ -82,18 +82,6 @@ class LaurentPoly:
                 return c
         return 0
 
-    def min_exponent(self) -> int:
-        """Lowest exponent with a nonzero coefficient; error on zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return self.terms[0][0]
-
-    def max_exponent(self) -> int:
-        """Highest exponent with a nonzero coefficient; error on zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return self.terms[-1][0]
-
     def is_monomial_unit(self) -> bool:
         """True when the polynomial is exactly one term with coefficient +-1."""
         return len(self.terms) == 1 and self.terms[0][1] in (1, -1)

@@ -16,7 +16,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Iterator, Mapping, Union
+import math
+from fractions import Fraction
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, lp_eval, quantum_int
 from .skein import TangleElement, descend_with_ranks
@@ -281,6 +283,52 @@ def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
     for level, slc in zip(word.levels, word.slices):
         mat = mat.matmul(slice_matrix(n, level, slc))
     return mat
+
+
+def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRational) -> list[dict]:
+    """Matrices of the words at q = q0: one exact {(row, col): Fraction} map
+    per word, in input order.
+
+    Each distinct (level, slice) pair is specialized once, as integers over
+    a common denominator, and the words are multiplied depth-first along the
+    trie of their slice prefixes, so a shared prefix is multiplied once and
+    only the products on the current path are held.  Exact, because
+    specializing q is a ring homomorphism.
+    """
+    paths = [tuple(zip(word.levels, word.slices)) for word in words]
+    factors: dict[tuple, tuple[dict, int]] = {}  # (level, slice) -> (rows, denominator)
+    out: list = [None] * len(paths)
+
+    def descend(members: list[int], depth: int, product: dict, scale: int) -> None:
+        children: dict[tuple, list[int]] = {}
+        for w in members:
+            if len(paths[w]) == depth:
+                out[w] = {(i, k): Fraction(v, scale) for i, row in product.items() for k, v in row.items()}
+            else:
+                children.setdefault(paths[w][depth], []).append(w)
+        for step, group in children.items():
+            if step not in factors:
+                values = slice_matrix(n, *step).evaluate(q0)
+                den = math.lcm(*(v.denominator for v in values.values()))
+                by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
+                for (row, col), v in values.items():
+                    by_row.setdefault(row, {})[col] = v.numerator * (den // v.denominator)
+                factors[step] = (by_row, den)
+            by_row, den = factors[step]
+            below = {}
+            for i, row in product.items():
+                acc: dict[MultiIndex, int] = {}
+                for j, u in row.items():
+                    for k, v in by_row.get(j, {}).items():
+                        acc[k] = acc.get(k, 0) + u * v
+                if acc := {k: v for k, v in acc.items() if v}:
+                    below[i] = acc
+            descend(group, depth + 1, below, scale * den)
+
+    for top in dict.fromkeys(word.ty.top for word in words):
+        identity = {idx: {idx: 1} for idx in label_tuples(n, len(top))}
+        descend([w for w, word in enumerate(words) if word.ty.top == top], 0, identity, 1)
+    return out
 
 
 # -- matrices through the normal form -----------------------------------------

@@ -113,13 +113,6 @@ class TangleType:
             if not all(isinstance(o, Orientation) for o in half):
                 raise TypeError("boundary halves must contain Orientation values")
 
-    def is_balanced(self) -> bool:
-        """True when the type admits tangles at all: the number of strand
-        starts (top DOWN plus bottom UP) matches the number of ends."""
-        starts = self.top.count(DOWN) + self.bottom.count(UP)
-        ends = self.top.count(UP) + self.bottom.count(DOWN)
-        return starts == ends
-
     def __str__(self) -> str:
         return render_type(self)
 
@@ -314,12 +307,6 @@ class Connector:
         self.ty = ty
         self.edges = edges
 
-    def end_of(self, start: Vertex) -> Vertex:
-        for s, e in self.edges:
-            if s == start:
-                return e
-        raise KeyError(start)
-
     def is_totally_propagating(self) -> bool:
         """True when every strand joins the top edge to the bottom edge."""
         return all(s[0] != e[0] for s, e in self.edges)
@@ -412,9 +399,6 @@ class StrandGeometry:
     @property
     def connector(self) -> Connector:
         return Connector(self.word.ty, zip(self.starts, self.ends))
-
-    def component_count(self) -> int:
-        return len(self.starts) + len(self.loops)
 
 
 @functools.cache
