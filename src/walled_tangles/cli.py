@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -65,9 +64,6 @@ from .tangle import (
     strand_graph,
     vertex_name,
 )
-
-THREADS_VAR = "WALLED_TANGLE_THREADS"
-
 
 # -- input parsing ------------------------------------------------------------
 
@@ -138,17 +134,6 @@ def _parse_q0(text: str) -> Fraction:
     return q0
 
 
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get(THREADS_VAR)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        return None
-    return cap if cap > 0 else None
-
-
 # -- output helpers -----------------------------------------------------------
 
 
@@ -212,9 +197,6 @@ def _suite_report(suite: str, seed: Optional[int], checks: list, extra: Optional
         data.update(extra)
     if seed is not None:
         data["seed"] = seed
-    cap = _thread_cap()
-    if cap is not None:
-        data["threadCap"] = cap
     data["allPass"] = all(c["holds"] for c in checks)
     data["checks"] = checks
     return data
@@ -222,9 +204,8 @@ def _suite_report(suite: str, seed: Optional[int], checks: list, extra: Optional
 
 def _human_checks(data: dict) -> str:
     lines = [f"suite {data['suite']}: {'all pass' if data['allPass'] else 'FAILED'}"]
-    for key in ("seed", "threadCap"):
-        if key in data:
-            lines.append(f"  {key} = {data[key]}")
+    if "seed" in data:
+        lines.append(f"  seed = {data['seed']}")
     for check in data["checks"]:
         mark = "ok" if check["holds"] else "FAIL"
         lines.append(f"  [{mark}] {check['name']}: {check['detail']}")
@@ -467,9 +448,6 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         "allPass": all(s["allPass"] for s in suites),
         "suites": suites,
     }
-    cap = _thread_cap()
-    if cap is not None:
-        overall["threadCap"] = cap
     human = [f"verify all: {'all pass' if overall['allPass'] else 'FAILED'} (seed {args.seed})"]
     for suite in suites:
         title = suite["suite"]

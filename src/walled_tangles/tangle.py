@@ -254,17 +254,6 @@ def vertex_name(v: Vertex) -> str:
     return f"{v[0]}{v[1]}"
 
 
-def parse_vertex(name: str) -> Vertex:
-    """
-    >>> parse_vertex("B12")
-    ('B', 12)
-    """
-    m = re.fullmatch(r"([TB])([0-9]+)", name)
-    if not m:
-        raise ValueError(f"not a boundary vertex name: {name!r}")
-    return (m.group(1), int(m.group(2)))
-
-
 def _vertex_key(v: Vertex) -> tuple[int, int]:
     return (0 if v[0] == "T" else 1, v[1])
 

@@ -282,14 +282,6 @@ class TestVerify:
             "braidRelation",
         ]
 
-    def test_thread_cap_is_echoed(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALLED_TANGLE_THREADS", "3")
-        data = run_json(
-            capsys, "verify", "skein", "--n", "2", "--seed", "1", "--count", "3",
-            schema="suite-report.schema.json",
-        )
-        assert data["threadCap"] == 3
-
     def test_verify_all_is_deterministic(self, capsys):
         first_code, first_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")
         second_code, second_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")

@@ -3,6 +3,9 @@ double-commutant verification."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +14,8 @@ from conftest import compose_brauer, permutation_words
 from dense_commutant import dense_commutant_dim
 
 import walled_tangles.duality as duality
+import walled_tangles.rep as rep
+from walled_tangles.cli import main
 from walled_tangles.duality import (
     ResourceLimitError,
     annihilator_dims,
@@ -21,17 +26,19 @@ from walled_tangles.duality import (
     image_rank,
     verify_schur_weyl,
 )
-from walled_tangles.laurent import LaurentPoly, lp_eval
+from walled_tangles.laurent import Q, QINV, LaurentPoly, lp_eval
 from walled_tangles.qgroup import K, gen_on_mixed
-from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element
+from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element, matrix_of_word
 from walled_tangles.skein import identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
+    DOWN,
     Connector,
     Cross,
     Hand,
     TangleWord,
     algebra_type,
     all_down_type,
+    canonical_basis_word,
     enumerate_connectors,
     strand_graph,
 )
@@ -116,6 +123,48 @@ class TestSymbolicCommutation:
             action = gen_on_mixed(gen, boundary, n)
             for matrix in matrices:
                 assert matrix.commutator(action).is_zero()
+
+
+class TestSliceCertificate:
+    """The per-slice proof of the commutation claim against the full
+    per-basis commutator check, and against a broken slice block."""
+
+    @pytest.mark.parametrize(
+        "n,r,s", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1)]
+    )
+    def test_certificate_agrees_with_every_basis_commutator(self, n, r, s):
+        assert duality._first_uncommuting_step(n, r, s) is None
+        boundary = algebra_type(r, s).top
+        connectors = enumerate_connectors(algebra_type(r, s))
+        matrices = [matrix_of_connector(c, n) for c in connectors]
+        matrices += [matrix_of_word(canonical_basis_word(c), n) for c in connectors]
+        for gen in generator_sweep(n, r + s):
+            action = gen_on_mixed(gen, boundary, n)
+            for matrix in matrices:
+                assert matrix.commutator(action).is_zero()
+
+    def test_broken_block_fails_the_claim(self, monkeypatch):
+        exact = rep._local_cross
+        swap = {Q: QINV, QINV: Q}
+
+        def swapped_diagonal(n, entry, hand):
+            local = exact(n, entry, hand)
+            if entry != (DOWN, DOWN):
+                return local
+            return {
+                (row, col): swap.get(v, v) if row == col and row[0] == row[1] else v
+                for (row, col), v in local.items()
+            }
+
+        monkeypatch.setattr(rep, "_local_cross", swapped_diagonal)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "duality", "--n", "2", "--r", "2", "--s", "1", "--q0", "5/3"])
+        assert code == 1
+        data = json.loads(out.getvalue())
+        (claim,) = [c for c in data["claims"] if c["name"] == "commutation"]
+        assert claim["holds"] is False
+        assert claim["detail"] == "slice block vv|vv : X+(1) does not intertwine E(i=1, l=1)"
 
 
 class TestVerifyReport:

@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from walled_tangles.cli import THREADS_VAR, main
+from walled_tangles.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -51,8 +51,7 @@ def _cases() -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(_cases()))
-def test_output_matches_golden(name, monkeypatch):
-    monkeypatch.delenv(THREADS_VAR, raising=False)
+def test_output_matches_golden(name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert _cases()[name]() == expected
 
