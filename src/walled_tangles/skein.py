@@ -221,12 +221,6 @@ def normalize(word: TangleWord, n: int) -> TangleElement:
     return TangleElement(word.ty, n, acc)
 
 
-def descend_with_ranks(word: TangleWord, ranks: tuple[int, ...]):
-    """The raw descent expansion under a given start priority; used by the
-    matrix layer, which evaluates the descending words per label pattern."""
-    return _descend(word, ranks)
-
-
 # -- products -----------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from conftest import compose_brauer, permutation_words
 from dense_commutant import dense_commutant_dim
+from descent_oracle import matrix_by_descent
 
 import walled_tangles.duality as duality
 import walled_tangles.rep as rep
@@ -136,7 +137,7 @@ class TestSliceCertificate:
         assert duality._first_uncommuting_step(n, r, s) is None
         boundary = algebra_type(r, s).top
         connectors = enumerate_connectors(algebra_type(r, s))
-        matrices = [matrix_of_connector(c, n) for c in connectors]
+        matrices = [matrix_by_descent(c, n) for c in connectors]
         matrices += [matrix_of_word(canonical_basis_word(c), n) for c in connectors]
         for gen in generator_sweep(n, r + s):
             action = gen_on_mixed(gen, boundary, n)
@@ -193,7 +194,7 @@ class TestVerifyReport:
         assert report.all_pass
         assert report.q0 == Fraction(7, 4)
 
-    def test_fallback_names_both_points(self, monkeypatch):
+    def test_rank_mismatch_fails_at_the_requested_point(self, monkeypatch):
         exact = duality.commutant_dim
 
         def drops_rank_at_q0(n, r, s, q0):
@@ -201,11 +202,14 @@ class TestVerifyReport:
 
         monkeypatch.setattr(duality, "commutant_dim", drops_rank_at_q0)
         report = verify_schur_weyl(2, 1, 1, Q0)
-        assert report.all_pass
-        assert report.q0 == duality.RETRY_POINTS[0]
-        (detail,) = [c.detail for c in report.claims if c.name == "rankMatch"]
-        assert f"at q = {duality.RETRY_POINTS[0]}" in detail
-        assert f"requested q = {Q0}" in detail
+        assert not report.all_pass
+        assert report.q0 == Q0
+        (claim,) = [c for c in report.claims if c.name == "rankMatch"]
+        assert claim.holds is False
+        assert claim.detail == f"image rank 2, commutant dimension 3 at q = {Q0}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "duality", "--n", "2", "--r", "1", "--s", "1"])
+        assert code == 1
 
     def test_json_shape(self):
         report = verify_schur_weyl(2, 1, 1, Q0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_word
+from descent_oracle import matrix_by_descent, procedure_value
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from walled_tangles.rep import (
     OperatorMatrix,
@@ -14,7 +15,6 @@ from walled_tangles.rep import (
     matrix_of_connector,
     matrix_of_element,
     matrix_of_word,
-    procedure_value,
     psi_matrix,
     psi_prime_matrix,
     render_matrix,
@@ -237,7 +237,7 @@ class TestProcedureValue:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_worked_example_entries_via_label_descent(self, n):
-        from walled_tangles.skein import descend_with_ranks
+        from walled_tangles.skein import _descend
         from walled_tangles.tangle import strand_graph
 
         g = strand_graph(WORKED_WORD)
@@ -252,7 +252,7 @@ class TestProcedureValue:
             for position, t in enumerate(order):
                 ranks[t] = position
             total = ZERO
-            for coeff, base in descend_with_ranks(WORKED_WORD, tuple(ranks)):
+            for coeff, base in _descend(WORKED_WORD, tuple(ranks)):
                 total = total + coeff * procedure_value(base, i, j, n)
             assert total == expected
 
@@ -317,7 +317,12 @@ class TestConnectorMatrices:
         for r, s in ((1, 1), (2, 1)):
             for connector in enumerate_connectors(algebra_type(r, s)):
                 word = canonical_basis_word(connector)
-                assert matrix_of_connector(connector, n) == matrix_of_word(word, n)
+                assert matrix_by_descent(connector, n) == matrix_of_word(word, n)
+
+    @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2), (3, 2, 1), (2, 4, 0)])
+    def test_matches_the_descent_oracle(self, n, r, s):
+        for connector in enumerate_connectors(algebra_type(r, s)):
+            assert matrix_of_connector(connector, n) == matrix_by_descent(connector, n)
 
     def test_classical_limit_entries_are_zero_or_one(self):
         n = 2

@@ -1,5 +1,5 @@
 """The q0-specialized rendering route behind ``image_rank``: entry-for-entry
-agreement with the symbolic route, and the rank checked against an
+agreement with the label-descent oracle, and the rank checked against an
 independent count of permutations."""
 
 from __future__ import annotations
@@ -8,9 +8,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from descent_oracle import matrix_by_descent
 
 from walled_tangles.duality import image_rank
-from walled_tangles.rep import matrix_of_connector, specialized_word_matrices
+from walled_tangles.rep import specialized_word_matrices
 from walled_tangles.tangle import algebra_type, canonical_basis_word, enumerate_connectors
 
 POINTS = (Fraction(5, 3), Fraction(-5, 3), Fraction(2), Fraction(1), Fraction(-1))
@@ -24,7 +25,7 @@ def test_specialized_matrices_match_the_symbolic_route(n, r, s, q0):
     specialized = specialized_word_matrices(words, n, q0)
     assert len(specialized) == len(connectors)
     for connector, values in zip(connectors, specialized):
-        assert values == matrix_of_connector(connector, n).evaluate(q0)
+        assert values == matrix_by_descent(connector, n).evaluate(q0)
         assert all(isinstance(v, Fraction) and v for v in values.values())
 
 
