@@ -1,17 +1,29 @@
 """Skein-normal forms of tangle words and the diagram algebra product.
 
-The rewriting engine repeatedly applies the crossing-switch relation: the
-difference between the two hands of a crossing equals (q^-1 - q) times the
-oriented smoothing.  Strand starts carry a fixed priority; a crossing is a
-violation when the strand pass that comes earlier (smaller priority, then
-earlier along its own strand) runs under.  Switching the first violation
-and recursing terminates in diagrams where every earlier pass runs over;
-those are evaluated directly: each closed loop is worth the quantum integer
-of n times q^(n * writhe), each kink on an open strand is worth q^(n * sign),
-and what remains is the crossing-minimal diagram of its connector.
+The connectors of a type are a basis of its diagram algebra, so a word's
+normal form is built one slice at a time: start from the identity connector
+of the top boundary and, for each slice s, replace every term k * c by k
+times the normal form of the canonical word of c followed by s.  That
+one-slice step is memoized on (connector, slice, n); a word of any length
+costs one dictionary pass per slice, with no deep recursion and no memo
+keyed on a whole word.  The fold is exact because normalizing is an
+algebra map from stacked words to the free module on connectors, and a
+canonical word is descending, so it normalizes to its own connector.
+
+Each step is evaluated by the descent engine, which repeatedly applies the
+crossing-switch relation: the difference between the two hands of a
+crossing equals (q^-1 - q) times the oriented smoothing.  Strand starts
+carry a fixed priority; a crossing is a violation when the strand pass that
+comes earlier (smaller priority, then earlier along its own strand) runs
+under.  Switching the first violation and recursing terminates in diagrams
+where every earlier pass runs over; those are evaluated directly: each
+closed loop is worth the quantum integer of n times q^(n * writhe), each
+kink on an open strand is worth q^(n * sign), and what remains is the
+crossing-minimal diagram of its connector.
 
 Elements of the algebra are exact Laurent combinations of connectors; the
-product stacks canonical diagrams and renormalizes.
+product of two connectors folds the slices of the second's canonical word
+into the first.
 """
 
 from __future__ import annotations
@@ -29,15 +41,17 @@ from .tangle import (
     Hand,
     Max,
     Min,
+    Slice,
     Sweep,
     TangleType,
     TangleWord,
     algebra_type,
     all_down_type,
+    apply_slice,
     canonical_basis_word,
+    connector_of,
     render_type,
     shifted_slices,
-    stack,
     start_vertices,
     strand_graph,
     vertex_name,
@@ -203,8 +217,42 @@ def _descending_value(word: TangleWord, n: int) -> tuple[Connector, LaurentPoly]
     return g.connector, coeff
 
 
+# -- the fold over the connector basis ----------------------------------------
+
+
+@functools.cache
+def _step(connector: Connector, s: Slice, n: int) -> tuple[tuple[Connector, LaurentPoly], ...]:
+    """Normal form of the canonical word of ``connector`` followed by ``s``,
+    by descent at the default ranks: one column of the transfer matrix of
+    the slice over the connector basis."""
+    ty = connector.ty
+    slices = canonical_basis_word(connector).slices + (s,)
+    word = TangleWord(TangleType(ty.top, apply_slice(ty.bottom, s)), slices)
+    ranks = tuple(range(len(start_vertices(word.ty))))
+    acc: dict[Connector, LaurentPoly] = {}
+    for coeff, base in _descend(word, ranks):
+        target, extra = _descending_value(base, n)
+        acc[target] = acc.get(target, ZERO) + coeff * extra
+    return tuple((c, k) for c, k in acc.items() if not k.is_zero())
+
+
+def _fold(terms: dict[Connector, LaurentPoly], slices: Iterable[Slice], n: int) -> dict[Connector, LaurentPoly]:
+    """Act on a combination of connectors with each slice in turn."""
+    for s in slices:
+        acc: dict[Connector, LaurentPoly] = {}
+        for c, k in terms.items():
+            for target, coeff in _step(c, s, n):
+                acc[target] = acc.get(target, ZERO) + k * coeff
+        terms = {c: k for c, k in acc.items() if not k.is_zero()}
+    return terms
+
+
 def normalize(word: TangleWord, n: int) -> TangleElement:
     """Expand a tangle word in the connector basis.
+
+    The fold starts from the identity connector of the top boundary and
+    folds the word in one slice at a time (see the module docstring), so
+    its cost is linear in the word's length.
 
     >>> from walled_tangles.tangle import parse_word
     >>> w = parse_word("X+(1) X+(1)", all_down_type(2))
@@ -213,12 +261,9 @@ def normalize(word: TangleWord, n: int) -> TangleElement:
     """
     if n < 1:
         raise ValueError(f"label count n must be at least 1, got {n}")
-    ranks = tuple(range(len(start_vertices(word.ty))))
-    acc: dict[Connector, LaurentPoly] = {}
-    for coeff, base in _descend(word, ranks):
-        connector, extra = _descending_value(base, n)
-        acc[connector] = acc.get(connector, ZERO) + coeff * extra
-    return TangleElement(word.ty, n, acc)
+    top = word.ty.top
+    identity = connector_of(TangleWord(TangleType(top, top), ()))
+    return TangleElement(word.ty, n, _fold({identity: ONE}, word.slices, n))
 
 
 # -- products -----------------------------------------------------------------
@@ -226,7 +271,10 @@ def normalize(word: TangleWord, n: int) -> TangleElement:
 
 @functools.cache
 def _connector_product(a: Connector, b: Connector, n: int) -> TangleElement:
-    return normalize(stack(canonical_basis_word(a), canonical_basis_word(b)), n)
+    """The first connector with the slices of the second's canonical word
+    folded in."""
+    terms = _fold({a: ONE}, canonical_basis_word(b).slices, n)
+    return TangleElement(TangleType(a.ty.top, b.ty.bottom), n, terms)
 
 
 def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
@@ -235,11 +283,13 @@ def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
         raise ValueError("elements live over different label counts")
     if a.ty.bottom != b.ty.top:
         raise ValueError("cannot multiply: bottom of the first differs from top of the second")
-    out = TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n)
+    acc: dict[Connector, LaurentPoly] = {}
     for ca, ka in a.terms:
         for cb, kb in b.terms:
-            out = out + _connector_product(ca, cb, a.n).scaled(ka * kb)
-    return out
+            scale = ka * kb
+            for c, k in _connector_product(ca, cb, a.n).terms:
+                acc[c] = acc.get(c, ZERO) + scale * k
+    return TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n, acc)
 
 
 def structure_constants(r: int, s: int, n: int) -> dict:
@@ -444,14 +494,12 @@ def bend_first(word: TangleWord) -> TangleWord:
 
 
 def bend_element(element: TangleElement) -> TangleElement:
-    out = None
+    acc: dict[Connector, LaurentPoly] = {}
     for connector, coeff in element.terms:
-        term = normalize(bend_first(canonical_basis_word(connector)), element.n).scaled(coeff)
-        out = term if out is None else out + term
-    if out is None:
-        ty = element.ty
-        out = TangleElement(TangleType((UP,) + ty.top[1:], (UP,) + ty.bottom[1:]), element.n)
-    return out
+        for c, k in normalize(bend_first(canonical_basis_word(connector)), element.n).terms:
+            acc[c] = acc.get(c, ZERO) + coeff * k
+    ty = element.ty
+    return TangleElement(TangleType((UP,) + ty.top[1:], (UP,) + ty.bottom[1:]), element.n, acc)
 
 
 def hecke_to_walled(word: TangleWord, r: int, s: int, n: int) -> TangleElement:

@@ -272,12 +272,13 @@ def end_vertices(ty: TangleType) -> tuple[Vertex, ...]:
     return tops + bots
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
+@dataclasses.dataclass(init=False, eq=True)
 class Connector:
     """The matching of boundary vertices cut out by a diagram's open strands.
 
     Edges run from a start vertex to an end vertex and are kept sorted by
     the canonical order of their starts, so equal matchings compare equal.
+    Connectors key the normal-form memos, so the hash is computed once.
     """
 
     ty: TangleType
@@ -295,6 +296,10 @@ class Connector:
             raise ValueError("edges must cover each end vertex exactly once")
         self.ty = ty
         self.edges = edges
+        self._hash = hash((ty, edges))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_totally_propagating(self) -> bool:
         """True when every strand joins the top edge to the bottom edge."""

@@ -1,9 +1,15 @@
-"""Label-descent reference for connector matrices.
+"""Whole-word descent references for normal forms and connector matrices.
 
-For each labeling of the strand starts, the canonical diagram of a
-connector is rewritten by the skein relations so that passes with smaller
-labels run over, and each descending word then contributes to the one
-matrix entry its strand pairing selects.  This never multiplies slice
+``normalize_by_descent`` runs the skein descent on a whole word at the
+default ranks and evaluates the descending words it ends in.  It never
+splits the word into slices, so it is independent of ``skein.normalize``
+(a fold over the connector basis, one memoized slice step at a time),
+which the tests compare against it.
+
+``matrix_by_descent`` works per labeling of the strand starts: the
+canonical diagram of a connector is rewritten by the skein relations so
+that passes with smaller labels run over, and each descending word then
+contributes to the one matrix entry its strand pairing selects.  This never multiplies slice
 matrices, so it is independent of ``rep.matrix_of_connector`` (the slice
 product of the canonical word), which the tests compare against it.
 ``procedure_value`` reads a single entry of a word that is already
@@ -20,8 +26,22 @@ from walled_tangles.rep import (
     _horizontal_factor,
     label_tuples,
 )
-from walled_tangles.skein import _descend
-from walled_tangles.tangle import Connector, TangleWord, canonical_basis_word, strand_graph
+from walled_tangles.skein import TangleElement, _descend, _descending_value
+from walled_tangles.tangle import Connector, TangleWord, canonical_basis_word, start_vertices, strand_graph
+
+
+def normalize_by_descent(word: TangleWord, n: int) -> TangleElement:
+    """Normal form of a word by descent on the whole word: every descending
+    word it ends in contributes its connector, scaled by its loop and kink
+    value."""
+    if n < 1:
+        raise ValueError(f"label count n must be at least 1, got {n}")
+    ranks = tuple(range(len(start_vertices(word.ty))))
+    acc: dict[Connector, LaurentPoly] = {}
+    for coeff, base in _descend(word, ranks):
+        connector, extra = _descending_value(base, n)
+        acc[connector] = acc.get(connector, ZERO) + coeff * extra
+    return TangleElement(word.ty, n, acc)
 
 
 def matrix_by_descent(connector: Connector, n: int) -> OperatorMatrix:

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, random_word_pair
+from descent_oracle import normalize_by_descent
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from walled_tangles.skein import (
     TangleElement,
+    _descend,
     bend_first,
     bend_element,
     crossing_word,
@@ -32,8 +34,10 @@ from walled_tangles.tangle import (
     TangleWord,
     algebra_type,
     all_down_type,
+    canonical_basis_word,
     connector_of,
     enumerate_connectors,
+    stack,
     vertex_name,
 )
 
@@ -115,6 +119,52 @@ class TestNormalize:
                 basis = element_of_connector(connector, 2)
                 assert len(basis.terms) == 1
                 assert basis.terms[0][1] == ONE
+
+
+class TestFold:
+    """``normalize`` folds a word into the connector basis one slice at a
+    time; the whole-word descent of ``tests/descent_oracle.py`` is its
+    reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_whole_word_descent(self, n):
+        rng = random.Random(15000 + n)
+        for _ in range(300):
+            word = random_word(rng, max_boundary=4, max_width=6)
+            assert normalize(word, n) == normalize_by_descent(word, n), str(word)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_products_match_descent_of_the_stack(self, n):
+        rng = random.Random(25000 + n)
+        for _ in range(100):
+            upper, lower = random_word_pair(rng, max_boundary=4, max_width=6)
+            product = multiply(normalize(upper, n), normalize(lower, n))
+            assert product == normalize_by_descent(stack(upper, lower), n), f"{upper} then {lower}"
+
+    @pytest.mark.parametrize("ty", [algebra_type(2, 1), algebra_type(2, 2), TangleType((DOWN, UP), (UP, DOWN, DOWN, UP))])
+    def test_canonical_words_normalize_to_their_connector(self, ty):
+        for connector in enumerate_connectors(ty):
+            word = canonical_basis_word(connector)
+            assert normalize(word, 2) == element_of_connector(connector, 2)
+            assert normalize_by_descent(word, 2) == element_of_connector(connector, 2)
+
+    def test_long_inverse_crossing_powers(self):
+        """X-(1)^k = a_k + b_k X+(1), from X+(1)^2 = 1 + (q^-1 - q) X+(1)
+        and X-(1) = X+(1) - (q^-1 - q): a_(k+1) = b_k - (q^-1 - q) a_k and
+        b_(k+1) = a_k.  Each step of the fold is one memo lookup, so k = 400
+        runs at the default recursion limit and barely grows the descent
+        memo."""
+        ty = all_down_type(2)
+        one = identity_element(2, 0, 2)
+        positive = normalize(TangleWord(ty, [Cross(1, FO)]), 2)
+        before = _descend.cache_info().currsize
+        a, b = ONE, ZERO
+        for k in range(1, 401):
+            a, b = b - (QINV - Q) * a, a
+            if k <= 12 or k in (100, 400):
+                word = TangleWord(ty, [Cross(1, FU)] * k)
+                assert normalize(word, 2) == one.scaled(a) + positive.scaled(b), k
+        assert _descend.cache_info().currsize - before <= 10
 
 
 class TestElementArithmetic:
