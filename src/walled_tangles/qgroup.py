@@ -7,19 +7,45 @@ commutes with a generating set, so commutant computations never need
 products.  Divided powers are primitive data; no coefficient outside the
 integer Laurent ring ever appears.
 
-Actions: on the vector space V the divided powers of level two or more act
-as zero; on the dual space a generator acts through the antipode and a
-transpose; on a tensor product it acts through the comultiplication,
-applied recursively factor by factor.
+Actions.  A boundary of m points carries one factor V per DOWN point and one
+dual factor V* per UP point, with basis vectors e_a and e*_a for a in 1..n.
+A generator acts through the iterated comultiplication, with the antipode
+and a transpose on every dual factor.  ``gen_on_mixed`` evaluates that
+action in closed form, one label tuple at a time:
+
+* q^h is diagonal: its exponent sums h[label] over the factors, with + on a
+  DOWN factor and - on an UP one, as the antipode inverts q^h.  K_i^(+-1)
+  is q^h with h = +-1 at i and -+1 at i + 1.
+* E_i^(l) sums over the l-subsets S of the factors.  Each chosen factor
+  takes one step: e_(i+1) -> e_i with coefficient 1 on V, and
+  e*_i -> e*_(i+1) with -q^-1 on V* (the transpose of S(E_i) = -E_i K_i).
+  Every factor t then gets K_i^-|S meet [1, t)| on its output label, and
+  the term carries q^(l(l-1)/2).
+* F_i^(l) is the mirror image: e_i -> e_(i+1) on V, e*_(i+1) -> e*_i with
+  -q on V* (S(F_i) = -K_i^-1 F_i), K_i^|S meet (t, m]| on each input
+  label, and q^(-l(l-1)/2).
+
+Level 0 gives the identity and a level above m gives zero.  This is the
+iterated coproduct: split the factors anywhere and apply
+Delta(E^(l)) = sum_k q^(k(l-k)) E^(l-k) (x) K^(k-l) E^(k) (Lusztig,
+Introduction to Quantum Groups, 1993).  Divided powers of level two or
+more vanish on a single factor, so one term per l-subset S survives all
+the splits: each chosen factor takes E once and leaves K^-1 on every
+factor to its right.  A split's scalar q^(k(l-k)) counts the pairs of
+chosen factors it separates, and every pair is separated by exactly one
+split, so the scalars multiply to q^(l(l-1)/2).  F^(l), with
+Delta(F^(l)) = sum_k q^(-k(l-k)) F^(l-k) K^k (x) F^(k), is the mirror
+image.  ``tests/coproduct_oracle.py`` keeps the recursion as a reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Union
 
-from .laurent import ONE, LaurentPoly, ZERO
-from .rep import OperatorMatrix
+from .laurent import ONE, LaurentPoly
+from .rep import OperatorMatrix, label_tuples
 from .tangle import DOWN, UP, Orientation
 
 
@@ -86,68 +112,6 @@ def _alpha_weight(i: int, n: int, multiple: int = 1) -> QH:
     return QH(weight)
 
 
-def gen_on_V(gen: UGenerator, n: int) -> OperatorMatrix:
-    """Matrix of a generator on the vector space V, rows indexing inputs.
-
-    >>> gen_on_V(E(1), 2).entries
-    {((2,), (1,)): LaurentPoly('1*q^0')}
-    >>> gen_on_V(K(1), 2).entry((1,), (1,))
-    LaurentPoly('1*q^1')
-    >>> gen_on_V(E(1, 2), 2).is_zero()
-    True
-    """
-    _validate(gen, n)
-    boundary = (DOWN,)
-    entries = {}
-    if isinstance(gen, E):
-        if gen.l == 0:
-            return OperatorMatrix.identity(n, boundary)
-        if gen.l == 1:
-            entries[((gen.i + 1,), (gen.i,))] = ONE
-    elif isinstance(gen, F):
-        if gen.l == 0:
-            return OperatorMatrix.identity(n, boundary)
-        if gen.l == 1:
-            entries[((gen.i,), (gen.i + 1,))] = ONE
-    elif isinstance(gen, K):
-        return gen_on_V(_alpha_weight(gen.i, n, gen.sign), n)
-    else:
-        for j in range(1, n + 1):
-            entries[((j,), (j,))] = LaurentPoly.monomial(1, gen.weight[j - 1])
-    return OperatorMatrix(n, boundary, boundary, entries)
-
-
-def _antipode_on_V(gen: UGenerator, n: int) -> OperatorMatrix:
-    """Matrix on V of the antipode image of a generator."""
-    if isinstance(gen, E):
-        if gen.l == 0:
-            return OperatorMatrix.identity(n, (DOWN,))
-        mat = gen_on_V(_alpha_weight(gen.i, n, gen.l), n).matmul(gen_on_V(gen, n))
-        return mat.scaled(LaurentPoly.monomial((-1) ** gen.l, gen.l * (gen.l - 1)))
-    if isinstance(gen, F):
-        if gen.l == 0:
-            return OperatorMatrix.identity(n, (DOWN,))
-        mat = gen_on_V(gen, n).matmul(gen_on_V(_alpha_weight(gen.i, n, -gen.l), n))
-        return mat.scaled(LaurentPoly.monomial((-1) ** gen.l, -gen.l * (gen.l - 1)))
-    if isinstance(gen, K):
-        return gen_on_V(K(gen.i, -gen.sign), n)
-    return gen_on_V(QH(tuple(-w for w in gen.weight)), n)
-
-
-def gen_on_Vdual(gen: UGenerator, n: int) -> OperatorMatrix:
-    """Matrix of a generator on the dual space, in the dual basis: the
-    transpose of the antipode image acting on V.
-
-    >>> gen_on_Vdual(K(1), 2).entry((1,), (1,))
-    LaurentPoly('1*q^-1')
-    >>> gen_on_Vdual(E(1), 2).entries
-    {((1,), (2,)): LaurentPoly('-1*q^-1')}
-    """
-    _validate(gen, n)
-    base = _antipode_on_V(gen, n)
-    return OperatorMatrix(n, (UP,), (UP,), {(c, r): v for (r, c), v in base.entries.items()})
-
-
 def _word_matrix(gens, boundary: tuple[Orientation, ...], n: int) -> OperatorMatrix:
     """Matrix of a product of generators: the rightmost factor acts first."""
     out = OperatorMatrix.identity(n, boundary)
@@ -158,46 +122,57 @@ def _word_matrix(gens, boundary: tuple[Orientation, ...], n: int) -> OperatorMat
 
 def gen_on_mixed(gen: UGenerator, boundary, n: int) -> OperatorMatrix:
     """Matrix of a generator on the tensor space of an oriented boundary,
-    built by splitting the factors in half and comultiplying.
+    rows indexing inputs, by the closed form of the module docstring.
 
+    >>> gen_on_mixed(E(1), (DOWN,), 2).entries
+    {((2,), (1,)): LaurentPoly('1*q^0')}
+    >>> gen_on_mixed(E(1), (UP,), 2).entries
+    {((1,), (2,)): LaurentPoly('-1*q^-1')}
+    >>> gen_on_mixed(K(1), (UP,), 2).entry((1,), (1,))
+    LaurentPoly('1*q^-1')
     >>> v22 = gen_on_mixed(E(1), (DOWN, DOWN), 2).entries
     >>> v22[((2, 2), (1, 2))], v22[((2, 2), (2, 1))]
     (LaurentPoly('1*q^1'), LaurentPoly('1*q^0'))
     """
     boundary = tuple(boundary)
     _validate(gen, n)
-    if isinstance(gen, (E, F)) and gen.l == 0:
-        return OperatorMatrix.identity(n, boundary)
-    if len(boundary) == 0:
-        value = ONE if isinstance(gen, (K, QH)) else ZERO
-        return OperatorMatrix(n, (), (), {((), ()): value} if not value.is_zero() else {})
-    if len(boundary) == 1:
-        if boundary[0] is DOWN:
-            return gen_on_V(gen, n)
-        return gen_on_Vdual(gen, n)
-    mid = len(boundary) // 2
-    return _split_action(gen, boundary[:mid], boundary[mid:], n)
-
-
-def _split_action(
-    gen: UGenerator, left: tuple[Orientation, ...], right: tuple[Orientation, ...], n: int
-) -> OperatorMatrix:
-    """Comultiply one generator across an explicit two-part split."""
-    if isinstance(gen, (K, QH)):
-        return gen_on_mixed(gen, left, n).kron(gen_on_mixed(gen, right, n))
+    m = len(boundary)
+    signs = [-1 if o is UP else 1 for o in boundary]
+    if isinstance(gen, K):
+        gen = _alpha_weight(gen.i, n, gen.sign)
+    if isinstance(gen, QH):
+        diagonal = {}
+        for labels in label_tuples(n, m):
+            exponent = sum(sign * gen.weight[a - 1] for sign, a in zip(signs, labels))
+            diagonal[(labels, labels)] = LaurentPoly.monomial(1, exponent)
+        return OperatorMatrix(n, boundary, boundary, diagonal)
     i, l = gen.i, gen.l
-    total = OperatorMatrix(n, left + right, left + right)
-    for k in range(l + 1):
-        if isinstance(gen, E):
-            coeff = LaurentPoly.monomial(1, k * (l - k))
-            left_mat = _word_matrix((E(i, l - k),), left, n)
-            right_mat = _word_matrix((_alpha_weight(i, n, k - l), E(i, k)), right, n)
-        else:
-            coeff = LaurentPoly.monomial(1, -k * (l - k))
-            left_mat = _word_matrix((F(i, l - k), _alpha_weight(i, n, k)), left, n)
-            right_mat = _word_matrix((F(i, k),), right, n)
-        total = total + left_mat.kron(right_mat).scaled(coeff)
-    return total
+    raising = isinstance(gen, E)
+    # E steps a DOWN label i+1 -> i and an UP label i -> i+1; F the reverse.
+    rising = [(sign < 0) == raising for sign in signs]
+    source = [i if up else i + 1 for up in rising]
+    target = [i + 1 if up else i for up in rising]
+    # F's scalars are E's with q inverted.
+    mirror = 1 if raising else -1
+    alpha = _alpha_weight(i, n).weight
+    entries = {}
+    for labels in label_tuples(n, m):
+        movable = [t for t, a in enumerate(labels) if a == source[t]]
+        for chosen in itertools.combinations(movable, l):
+            out = list(labels)
+            for t in chosen:
+                out[t] = target[t]
+            duals = sum(signs[t] < 0 for t in chosen)
+            exponent = mirror * (l * (l - 1) // 2 - duals)
+            passed = 0
+            for t in range(m):
+                if raising:
+                    exponent -= passed * signs[t] * alpha[out[t] - 1]
+                passed += t in chosen
+                if not raising:
+                    exponent += (l - passed) * signs[t] * alpha[labels[t] - 1]
+            entries[(labels, tuple(out))] = LaurentPoly.monomial((-1) ** duals, exponent)
+    return OperatorMatrix(n, boundary, boundary, entries)
 
 
 # -- the divided-power compatibility identities -------------------------------

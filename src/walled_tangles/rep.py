@@ -144,11 +144,6 @@ class OperatorMatrix:
                 acc[(i1 + i2, j1 + j2)] = u * v
         return OperatorMatrix(self.n, self.row_type + other.row_type, self.col_type + other.col_type, acc)
 
-    def transpose(self) -> OperatorMatrix:
-        return OperatorMatrix(
-            self.n, self.col_type, self.row_type, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def commutator(self, other: OperatorMatrix) -> OperatorMatrix:
         return self.matmul(other) - other.matmul(self)
 

@@ -380,12 +380,6 @@ def presentation_check(r: int, s: int, n: int) -> PresentationReport:
 
     results = []
 
-    def record(name: str, lhs, rhs) -> None:
-        if lhs is None or rhs is None:
-            results.append(RelationResult(name, False, True, "-", "-"))
-            return
-        results.append(RelationResult(name, True, lhs == rhs, str(lhs), str(rhs)))
-
     def commuting(family: dict) -> tuple:
         pairs = [(i, j) for i in family for j in family if j >= i + 2]
         if not pairs:
@@ -444,32 +438,32 @@ def presentation_check(r: int, s: int, n: int) -> PresentationReport:
     many("turnback commutes with far up crossings", wall_commutes(gs))
 
     lam = LaurentPoly.monomial(1, -n)
-    record(
+    near_down = turn is not None and 1 in g
+    near_up = turn is not None and 1 in gs
+    many(
         "turnback absorbs the near down crossing",
-        prod(turn, g[1], turn) if turn is not None and 1 in g else None,
-        turn.scaled(lam) if turn is not None and 1 in g else None,
+        ([prod(turn, g[1], turn)], [turn.scaled(lam)]) if near_down else (None, None),
     )
-    record(
+    many(
         "turnback absorbs the near up crossing",
-        prod(turn, gs[1], turn) if turn is not None and 1 in gs else None,
-        turn.scaled(lam) if turn is not None and 1 in gs else None,
+        ([prod(turn, gs[1], turn)], [turn.scaled(lam)]) if near_up else (None, None),
     )
-    record(
+    many(
         "turnback squares to the loop value",
-        prod(turn, turn) if turn is not None else None,
-        turn.scaled(quantum_int(n)) if turn is not None else None,
+        ([prod(turn, turn)], [turn.scaled(quantum_int(n))]) if turn is not None else (None, None),
     )
-
-    both = turn is not None and 1 in g and 1 in gs
-    record(
+    both = near_down and near_up
+    many(
         "mixed wall relation, turnback first",
-        prod(turn, ginv[1], gs[1], turn, g[1]) if both else None,
-        prod(turn, ginv[1], gs[1], turn, gs[1]) if both else None,
+        ([prod(turn, ginv[1], gs[1], turn, g[1])], [prod(turn, ginv[1], gs[1], turn, gs[1])])
+        if both
+        else (None, None),
     )
-    record(
+    many(
         "mixed wall relation, crossing first",
-        prod(g[1], turn, ginv[1], gs[1], turn) if both else None,
-        prod(gs[1], turn, ginv[1], gs[1], turn) if both else None,
+        ([prod(g[1], turn, ginv[1], gs[1], turn)], [prod(gs[1], turn, ginv[1], gs[1], turn)])
+        if both
+        else (None, None),
     )
 
     return PresentationReport(r, s, n, tuple(results))

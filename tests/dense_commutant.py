@@ -4,7 +4,9 @@ Builds one dense rational row of n^(2(r+s)) slots for every sweep generator
 and every matrix position, Cartan units included, and eliminates them with
 a dense fraction-free integer elimination.  Slow, but independent of the
 weight blocking and the sparse eliminator in ``walled_tangles.duality``,
-which the tests compare against it.
+which the tests compare against it.  The generator matrices come from the
+recursive coproduct of ``coproduct_oracle``, so the comparison also checks
+the closed-form action of ``walled_tangles.qgroup`` end to end.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from coproduct_oracle import gen_on_mixed
 from walled_tangles.duality import generator_sweep
-from walled_tangles.qgroup import gen_on_mixed
 from walled_tangles.rep import label_tuples
 from walled_tangles.tangle import algebra_type
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
+import coproduct_oracle
 
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_binom
-from walled_tangles.qgroup import E, F, K, QH, check_divpowers, gen_on_V, gen_on_Vdual, gen_on_mixed
+from walled_tangles.qgroup import E, F, K, QH, check_divpowers, gen_on_mixed
 from walled_tangles.rep import OperatorMatrix
 from walled_tangles.tangle import DOWN, UP
 
@@ -25,11 +29,11 @@ def alpha(i, n, multiple=1):
 
 class TestVectorAction:
     def test_raising_and_lowering_moves(self):
-        assert gen_on_V(E(1), 2).entries == {((2,), (1,)): ONE}
-        assert gen_on_V(F(1), 2).entries == {((1,), (2,)): ONE}
+        assert gen_on_mixed(E(1), (DOWN,), 2).entries == {((2,), (1,)): ONE}
+        assert gen_on_mixed(F(1), (DOWN,), 2).entries == {((1,), (2,)): ONE}
 
     def test_k_is_diagonal_weight(self):
-        m = gen_on_V(K(1), 3)
+        m = gen_on_mixed(K(1), (DOWN,), 3)
         assert m.entry((1,), (1,)) == Q
         assert m.entry((2,), (2,)) == QINV
         assert m.entry((3,), (3,)) == ONE
@@ -37,34 +41,34 @@ class TestVectorAction:
     def test_k_equals_its_weight_form(self):
         for n in (2, 3):
             for i in range(1, n):
-                assert gen_on_V(K(i), n) == gen_on_V(alpha(i, n), n)
-                assert gen_on_V(K(i, -1), n) == gen_on_V(alpha(i, n, -1), n)
+                assert gen_on_mixed(K(i), (DOWN,), n) == gen_on_mixed(alpha(i, n), (DOWN,), n)
+                assert gen_on_mixed(K(i, -1), (DOWN,), n) == gen_on_mixed(alpha(i, n, -1), (DOWN,), n)
 
     def test_higher_divided_powers_vanish_on_v(self):
-        assert gen_on_V(E(1, 2), 2).is_zero()
-        assert gen_on_V(F(1, 3), 3).is_zero()
+        assert gen_on_mixed(E(1, 2), (DOWN,), 2).is_zero()
+        assert gen_on_mixed(F(1, 3), (DOWN,), 3).is_zero()
 
     def test_level_zero_is_identity(self):
-        assert gen_on_V(E(1, 0), 2) == OperatorMatrix.identity(2, (DOWN,))
+        assert gen_on_mixed(E(1, 0), (DOWN,), 2) == OperatorMatrix.identity(2, (DOWN,))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            gen_on_V(E(2), 2)
+            gen_on_mixed(E(2), (DOWN,), 2)
         with pytest.raises(ValueError):
-            gen_on_V(QH((1, 0)), 3)
+            gen_on_mixed(QH((1, 0)), (DOWN,), 3)
 
 
 class TestDualAction:
     def test_k_acts_by_inverse_weight(self):
-        m = gen_on_Vdual(K(1), 2)
+        m = gen_on_mixed(K(1), (UP,), 2)
         assert m.entry((1,), (1,)) == QINV
         assert m.entry((2,), (2,)) == Q
 
     def test_raising_image(self):
-        assert gen_on_Vdual(E(1), 2).entries == {((1,), (2,)): -QINV}
+        assert gen_on_mixed(E(1), (UP,), 2).entries == {((1,), (2,)): -QINV}
 
     def test_lowering_image(self):
-        assert gen_on_Vdual(F(1), 2).entries == {((2,), (1,)): -Q}
+        assert gen_on_mixed(F(1), (UP,), 2).entries == {((2,), (1,)): -Q}
 
 
 class TestMixedAction:
@@ -100,6 +104,25 @@ class TestMixedAction:
         m = gen_on_mixed(E(1, 2), (DOWN, DOWN, DOWN), 3)
         for poly in m.entries.values():
             assert all(isinstance(c, int) for _, c in poly.terms)
+
+
+class TestClosedForm:
+    """The closed form against the recursive coproduct of ``coproduct_oracle``
+    on every orientation pattern of at most four points."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_recursive_coproduct(self, n, monkeypatch):
+        # Memoize the oracle's own recursion; it never mutates a matrix.
+        monkeypatch.setattr(coproduct_oracle, "gen_on_mixed", functools.cache(coproduct_oracle.gen_on_mixed))
+        for m in range(5):
+            gens = [QH(range(n, 0, -1))]
+            for i in range(1, n):
+                gens += [K(i), K(i, -1)]
+                gens += [x(i, l) for x in (E, F) for l in range(m + 2)]
+            for boundary in itertools.product((DOWN, UP), repeat=m):
+                for gen in gens:
+                    expected = coproduct_oracle.gen_on_mixed(gen, boundary, n)
+                    assert gen_on_mixed(gen, boundary, n) == expected, (gen, boundary)
 
 
 def _split_after_two(gen, boundary, n):

@@ -79,10 +79,6 @@ class TestOperatorMatrix:
         assert prod.row_type == (DOWN, UP)
         assert prod.entry((1, 2), (2, 2)) == ONE
 
-    def test_transpose_involution(self):
-        m = psi_matrix(3)
-        assert m.transpose().transpose() == m
-
     def test_evaluate_drops_zeros(self):
         m = OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (1,)): Q - Q})
         assert m.evaluate(Fraction(5, 3)) == {}
