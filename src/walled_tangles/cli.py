@@ -20,12 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .duality import (
-    ResourceLimitError,
-    classical_flip,
-    hecke_to_walled,
-    verify_schur_weyl,
-)
+from .duality import ResourceLimitError, classical_flip, verify_schur_weyl
 from .laurent import Q, QINV
 from .qgroup import E, F, K, QH, UGenerator, gen_on_mixed
 from .rep import (
@@ -36,6 +31,7 @@ from .rep import (
 )
 from .skein import (
     element_of_connector,
+    hecke_to_walled,
     multiply,
     normalize,
     presentation_check,

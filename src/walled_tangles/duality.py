@@ -10,8 +10,8 @@ identically in q once per elementary slice of the basis words, which by
 functoriality covers every basis matrix (``_first_uncommuting_step``).
 
 The bridge to the one-wall-free picture is the strand-bending transport
-from the skein module, re-exported here; its classical shadow at q = 1 is
-the flip that exchanges top and bottom vertices on one side of the wall.
+``skein.hecke_to_walled``; its classical shadow at q = 1, kept here, is the
+flip that exchanges top and bottom vertices on one side of the wall.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
 from .rep import MultiIndex, label_tuples, slice_matrix, specialized_word_matrices
-from .skein import bend_element, bend_first, hecke_to_walled
 from .tangle import (
     Connector,
     Max,
@@ -42,13 +41,9 @@ from .tangle import (
 __all__ = [
     "DualityReport",
     "ResourceLimitError",
-    "annihilator_dims",
-    "bend_element",
-    "bend_first",
     "classical_flip",
     "commutant_dim",
     "generator_sweep",
-    "hecke_to_walled",
     "image_rank",
     "verify_schur_weyl",
 ]
@@ -127,50 +122,50 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, ExactRational]]) -> int:
 # -- the two sides of the duality ---------------------------------------------
 
 
-def generator_sweep(n: int, level: int) -> tuple[UGenerator, ...]:
-    """Cartan units both ways and all divided powers up to the given level.
+def generator_sweep(n: int) -> tuple[UGenerator, ...]:
+    """The Chevalley generators K(i), K'(i), E(i) and F(i) for i < n.
 
-    A matrix commutes with the whole acting algebra exactly when it commutes
-    with this sweep; on a tensor power of total degree at most ``level`` the
-    higher divided powers act as zero, so the sweep is finite.
+    Every divided power is a multiple of a power of these: E^l = [l]! E^(l)
+    and F^l = [l]! F^(l).  The two callers say why that makes commuting with
+    the sweep the same as commuting with the whole integral form.
     """
     gens: list[UGenerator] = []
     for i in range(1, n):
-        gens.append(K(i, 1))
-        gens.append(K(i, -1))
-        for l in range(1, level + 1):
-            gens.append(E(i, l))
-            gens.append(F(i, l))
+        gens += [K(i, 1), K(i, -1), E(i), F(i)]
     return tuple(gens)
 
 
 def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord, UGenerator]]:
-    """Symbolic proof that every basis matrix commutes with the whole sweep.
+    """Symbolic proof that every basis matrix commutes with the whole algebra.
 
     The basis matrices are the products of the slice matrices of the
     canonical basis words, the words ``image_rank`` specializes.  A slice
     matrix is a local block (a crossing on 2 points, a valley from 2 points
     to none, a peak from none to 2) tensored with identities.  Each distinct
-    local step is checked exactly in q against ``generator_sweep(n, 2)``:
+    local step is checked exactly in q against ``generator_sweep(n)``.  The
+    comultiplication puts only E, F and powers of K on the block's legs, so
+    ``id ⊗ block ⊗ id`` intertwines the sweep on any number of points, and
+    so does every product of slice matrices.  This is the functoriality
+    argument of Reshetikhin and Turaev, "Ribbon graphs and their invariants
+    derived from quantum groups", Comm. Math. Phys. 127 (1990).
 
-    * divided powers of level above 2 act as zero on 0 or 2 points;
-    * the comultiplication puts only E^(k), F^(k) and powers of K on the
-      block's legs, so ``id ⊗ block ⊗ id`` intertwines the whole sweep at
-      every level, and so does every product of slice matrices.
-
-    This is the functoriality argument of Reshetikhin and Turaev, "Ribbon
-    graphs and their invariants derived from quantum groups", Comm. Math.
-    Phys. 127 (1990).  Returns the first failing step and generator, or None.
+    That covers every divided power as well.  If X intertwines E, it
+    intertwines E^l = [l]! E^(l), so [l]! (X E^(l) - E^(l) X) = 0; [l]! is
+    a nonzero element of Z[q, q^-1], a domain, so X intertwines E^(l), and
+    likewise F^(l).  The certificate thus holds identically in q for the
+    whole integral form, and so after any specialization to any ring R
+    (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35 (1990)).
+    Returns the first failing step and generator, or None.
     """
     steps: dict[TangleWord, None] = {}
     for connector in enumerate_connectors(algebra_type(r, s)):
         word = canonical_basis_word(connector)
-        for level, slc in zip(word.levels, word.slices):
+        for above, slc in zip(word.levels, word.slices):
             # The slice moved to position 1 of the points it touches.
-            local = () if isinstance(slc, Max) else level[slc.pos - 1 : slc.pos + 1]
+            local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
             unit = dataclasses.replace(slc, pos=1)
             steps.setdefault(TangleWord(TangleType(local, apply_slice(local, unit)), [unit]))
-    sweep = generator_sweep(n, 2)
+    sweep = generator_sweep(n)
     for step in steps:
         top, bottom = step.ty.top, step.ty.bottom
         block = slice_matrix(n, top, step.slices[0])
@@ -236,7 +231,13 @@ def _weight_classes(
 
 
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
-    """Dimension of the space of matrices commuting with every sweep generator.
+    """Dimension of the space of matrices commuting with the algebra at q0.
+
+    The sweep ``generator_sweep(n)`` is enough.  The specialized E^l is
+    [l]! times the specialized E^(l), and [l]! is nonzero at every nonzero
+    rational q0: away from +-1, [k] = 0 would need q0^(2k) = 1, and at
+    q0 = +-1, [k] is +-k.  So a matrix commuting with E commutes with every
+    E^(l), and likewise F^(l).
 
     Commuting with the Cartan units confines the unknown matrix to the
     blocks of one eigenvalue class each, so only the entries inside a class
@@ -247,7 +248,7 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     boundary = algebra_type(r, s).top
     size = n ** (r + s)
     _require_budget(size * size, "the commutant system")
-    sweep = generator_sweep(n, r + s)
+    sweep = generator_sweep(n)
     unknowns = [
         (row, col)
         for block in _weight_classes(sweep, boundary, n, q0)
@@ -275,21 +276,6 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
                 row[t] = row.get(t, 0) - value
         rows.extend(system.values())
     return len(unknowns) - _rank_of_rows(rows)
-
-
-def annihilator_dims(n: int, r: int, s: int, q0: ExactRational) -> tuple[int, int]:
-    """Kernel dimensions of the basis-to-matrix maps on both sides.
-
-    The first component is the defect of the walled algebra acting on mixed
-    tensor space, the second the defect of the all-down algebra acting on
-    the plain tensor power; both equal (r+s)! minus the respective image
-    rank, since the basis-to-matrix map is linear over the full basis.
-    """
-    m = r + s
-    return (
-        factorial(m) - image_rank(n, r, s, q0),
-        factorial(m) - image_rank(n, m, 0, q0),
-    )
 
 
 # -- the verification report --------------------------------------------------

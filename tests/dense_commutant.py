@@ -1,12 +1,13 @@
 """Dense reference for the commutant dimension.
 
-Builds one dense rational row of n^(2(r+s)) slots for every sweep generator
-and every matrix position, Cartan units included, and eliminates them with
-a dense fraction-free integer elimination.  Slow, but independent of the
-weight blocking and the sparse eliminator in ``walled_tangles.duality``,
-which the tests compare against it.  The generator matrices come from the
-recursive coproduct of ``coproduct_oracle``, so the comparison also checks
-the closed-form action of ``walled_tangles.qgroup`` end to end.
+Builds one dense rational row of n^(2(r+s)) slots for every generator of
+the divided-power sweep up to level r + s and every matrix position, Cartan
+units included, and eliminates them with a dense fraction-free integer
+elimination.  Slow, but independent of the weight blocking, the sparse
+eliminator and the level-1 sweep in ``walled_tangles.duality``, which the
+tests compare against it.  The generator matrices come from the recursive
+coproduct of ``coproduct_oracle``, so the comparison also checks the
+closed-form action of ``walled_tangles.qgroup`` end to end.
 """
 
 from __future__ import annotations
@@ -15,9 +16,24 @@ from fractions import Fraction
 from math import gcd
 
 from coproduct_oracle import gen_on_mixed
-from walled_tangles.duality import generator_sweep
+from walled_tangles.qgroup import E, F, K
 from walled_tangles.rep import label_tuples
 from walled_tangles.tangle import algebra_type
+
+
+def divided_power_sweep(n: int, level: int):
+    """Cartan units both ways and every divided power up to ``level``.
+
+    On a tensor space of at most ``level`` factors the higher divided powers
+    act as zero, so at level r + s this generates the whole integral form
+    acting on mixed tensor space, with no appeal to [l]! being invertible.
+    """
+    gens = []
+    for i in range(1, n):
+        gens += [K(i, 1), K(i, -1)]
+        for l in range(1, level + 1):
+            gens += [E(i, l), F(i, l)]
+    return tuple(gens)
 
 
 def _integer_rows(rows):
@@ -80,7 +96,7 @@ def dense_commutant_dim(n: int, r: int, s: int, q0) -> int:
     index = {label: t for t, label in enumerate(labels)}
     size = n ** (r + s)
     rows = []
-    for gen in generator_sweep(n, r + s):
+    for gen in divided_power_sweep(n, r + s):
         action = {
             key: Fraction(value)
             for key, value in gen_on_mixed(gen, boundary, n).evaluate(q0).items()

@@ -15,12 +15,7 @@ from math import factorial
 import pytest
 from conftest import compose_brauer, permutation_words, random_word
 
-from walled_tangles.duality import (
-    classical_flip,
-    hecke_to_walled,
-    image_rank,
-    verify_schur_weyl,
-)
+from walled_tangles.duality import classical_flip, image_rank, verify_schur_weyl
 from walled_tangles.laurent import ONE, Q, QINV, LaurentPoly, lp_eval, quantum_int
 from walled_tangles.qgroup import check_divpowers
 from walled_tangles.rep import (
@@ -33,6 +28,7 @@ from walled_tangles.rep import (
 from walled_tangles.skein import (
     bend_first,
     crossing_word,
+    hecke_to_walled,
     identity_element,
     multiply,
     normalize,

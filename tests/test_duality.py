@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import compose_brauer, permutation_words
-from dense_commutant import dense_commutant_dim
+from dense_commutant import dense_commutant_dim, divided_power_sweep
 from descent_oracle import matrix_by_descent
 
 import walled_tangles.duality as duality
@@ -19,18 +19,16 @@ import walled_tangles.rep as rep
 from walled_tangles.cli import main
 from walled_tangles.duality import (
     ResourceLimitError,
-    annihilator_dims,
     classical_flip,
     commutant_dim,
     generator_sweep,
-    hecke_to_walled,
     image_rank,
     verify_schur_weyl,
 )
 from walled_tangles.laurent import Q, QINV, LaurentPoly, lp_eval
 from walled_tangles.qgroup import K, gen_on_mixed
 from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element, matrix_of_word
-from walled_tangles.skein import identity_element, normalize, structure_constants
+from walled_tangles.skein import hecke_to_walled, identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
     DOWN,
     Connector,
@@ -59,9 +57,9 @@ class TestExactRanks:
         assert image_rank(3, 1, 1, Q0) == 2
 
     def test_frozen_annihilator_dims(self):
-        assert annihilator_dims(2, 1, 1, Q0) == (0, 0)
-        assert annihilator_dims(2, 2, 1, Q0) == (1, 1)
-        assert annihilator_dims(3, 2, 1, Q0) == (0, 0)
+        for (n, r, s), dims in {(2, 1, 1): (0, 0), (2, 2, 1): (1, 1), (3, 2, 1): (0, 0)}.items():
+            report = verify_schur_weyl(n, r, s, Q0)
+            assert (report.annihilator_dim, report.hecke_annihilator_dim) == dims
 
     @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)])
     def test_rank_is_preserved_across_the_wall(self, n, r, s):
@@ -79,8 +77,10 @@ class TestExactRanks:
 
     @pytest.mark.parametrize("n,r,s,dim", [(3, 2, 1, 6), (2, 3, 2, 42), (3, 2, 2, 23)])
     def test_frozen_larger_instances(self, n, r, s, dim):
-        assert commutant_dim(n, r, s, Q0) == dim
-        assert image_rank(n, r, s, Q0) == dim
+        # q0 = +-1: the K-classes coarsen, and the level-1 sweep rests on [l] = +-l.
+        for q0 in (Q0, Fraction(1), Fraction(-1)):
+            assert commutant_dim(n, r, s, q0) == dim
+            assert image_rank(n, r, s, q0) == dim
 
     def test_non_diagonal_cartan_unit_is_rejected(self, monkeypatch):
         exact = duality.gen_on_mixed
@@ -107,9 +107,10 @@ class TestExactRanks:
             image_rank(2, 4, 4, Q0)
 
     def test_generator_sweep_contents(self):
-        assert generator_sweep(1, 3) == ()
-        assert len(generator_sweep(2, 2)) == 6
-        assert len(generator_sweep(3, 1)) == 8
+        assert generator_sweep(1) == ()
+        assert len(generator_sweep(2)) == 4
+        assert len(generator_sweep(3)) == 8
+        assert generator_sweep(3) == divided_power_sweep(3, 1)
 
 
 class TestSymbolicCommutation:
@@ -120,7 +121,7 @@ class TestSymbolicCommutation:
             matrix_of_connector(connector, n)
             for connector in enumerate_connectors(algebra_type(r, s))
         ]
-        for gen in generator_sweep(n, r + s):
+        for gen in divided_power_sweep(n, r + s):
             action = gen_on_mixed(gen, boundary, n)
             for matrix in matrices:
                 assert matrix.commutator(action).is_zero()
@@ -139,7 +140,7 @@ class TestSliceCertificate:
         connectors = enumerate_connectors(algebra_type(r, s))
         matrices = [matrix_by_descent(c, n) for c in connectors]
         matrices += [matrix_of_word(canonical_basis_word(c), n) for c in connectors]
-        for gen in generator_sweep(n, r + s):
+        for gen in divided_power_sweep(n, r + s):
             action = gen_on_mixed(gen, boundary, n)
             for matrix in matrices:
                 assert matrix.commutator(action).is_zero()
@@ -301,11 +302,6 @@ class TestClassicalFlip:
             at_one = {c: v for c, v in at_one.items() if v}
             flipped = classical_flip(strand_graph(word).connector, r, s)
             assert at_one == {flipped: one}
-
-
-# -- an independent composition oracle for the q = 1 limit ---------------------
-
-
 
 
 class TestBrauerLimit:

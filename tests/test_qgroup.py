@@ -6,7 +6,7 @@ import itertools
 import pytest
 import coproduct_oracle
 
-from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_binom
+from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_binom, quantum_int
 from walled_tangles.qgroup import E, F, K, QH, check_divpowers, gen_on_mixed
 from walled_tangles.rep import OperatorMatrix
 from walled_tangles.tangle import DOWN, UP
@@ -200,13 +200,22 @@ class TestDefiningRelations:
                     assert lhs.is_zero()
 
     def test_divided_powers_multiply_with_binomials(self):
-        n = 2
-        boundary = (DOWN, DOWN, DOWN)
-        for a, b in ((1, 1), (1, 2), (2, 1)):
-            product = word_matrix((E(1, a), E(1, b)), boundary, n)
-            assert product == gen_on_mixed(E(1, a + b), boundary, n).scaled(
-                quantum_binom(a + b, a)
-            )
+        """X^(a) X^(b) = [a+b choose a] X^(a+b) and X^l = [l]! X^(l), the
+        premise of the level-1 generator sweep, for X = E and F."""
+        for n, m in itertools.product((2, 3), (1, 2, 3)):
+            cases = itertools.product(itertools.product((DOWN, UP), repeat=m), range(1, n), (E, F))
+            for boundary, i, x in cases:
+                for a in range(1, m + 1):
+                    for b in range(1, m + 2 - a):
+                        product = word_matrix((x(i, a), x(i, b)), boundary, n)
+                        assert product == gen_on_mixed(x(i, a + b), boundary, n).scaled(
+                            quantum_binom(a + b, a)
+                        )
+                power, factorial = OperatorMatrix.identity(n, boundary), ONE
+                for l in range(1, m + 2):
+                    power = power.matmul(gen_on_mixed(x(i), boundary, n))
+                    factorial = factorial * quantum_int(l)
+                    assert power == gen_on_mixed(x(i, l), boundary, n).scaled(factorial)
 
 
 class TestDividedPowerIdentities:
