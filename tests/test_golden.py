@@ -5,10 +5,13 @@ the ``verify duality`` JSON, with ``timingsSeconds`` removed, on the four
 instances of the benchmark's ``duality`` workload at q0 = 5/3, and the
 ``matrix --generators`` JSON of four generator products on mixed boundaries
 (divided powers of level two and three, ``K'``, ``qh`` and the empty
-product).  The file name of a matrix case spells its boundary with ``d`` for
-a DOWN point and ``u`` for an UP point.  Editing a
-golden file changes what this check accepts; a change that does so on
-purpose says which file changed and why.
+product), the ``structure-constants`` table of B_{2,1}^2, and the
+``normalize`` and ``multiply`` JSON of thirteen seeded words.  Most of those
+words have closed loops crossed by open strands, so the files pin how loops
+are found and numbered as well as the normal forms.  The file name of a
+matrix case spells its boundary with ``d`` for a DOWN point and ``u`` for an
+UP point.  Editing a golden file changes what this check accepts; a change
+that does so on purpose says which file changed and why.
 """
 
 from __future__ import annotations
@@ -31,6 +34,34 @@ MATRIX_CASES = (
     (2, "^v^", "F(1,2) qh(2,-1) E(1,3)"),
     (3, "v^v^", "E(2,2) K(1) F(1,2) qh(1,0,-2)"),
     (2, "vv^", ""),
+)
+
+STRUCTURE_CASES = ((2, 2, 1),)
+
+#: (n, "TYPE : WORD"): seeded ``conftest.random_word`` draws, written out so
+#: that the cases do not depend on the generator, and, seventh, the word of
+#: ``test_tangle.py``'s loops-by-creation case, which creates its two loops
+#: right to left.  The first seven have loops crossed by open strands, the
+#: last two have none.
+NORMALIZE_CASES = (
+    (2, "^^vv|^^vv : X+(2) X-(2) N>(2) X-(1) X-(4) X+(1) U(2) N>(4) U(1)"),
+    (3, "vv^|v^v : X+(2) N<(2) U(2) U(1) N>(1) N<(1) X+(2) X+(2) U(3)"),
+    (2, "v|v^v : N>(1) N<(4) X-(3) X+(2) X-(1) U(1) N>(1) X+(3) U(4) X-(1)"),
+    (3, "^|v^^ : N<(1) N<(4) X+(2) X+(2) U(1) X+(1) N<(3) U(1) N<(3) U(1)"),
+    (2, "^|v^v^^ : N<(2) N<(2) X-(3) X-(1) X-(1) X-(1) X-(4) X+(3) U(3) N>(2)"),
+    (3, "^|^^v^v : N<(1) N<(2) X-(2) X+(3) X-(4) X+(2) U(1) N<(3)"),
+    (2, "v^|v^ : N<(2) N<(1) X+(1) X-(2) X+(2) X+(3) X-(3) U(4) U(1)"),
+    (2, "^^|vv^^^^ : N<(1) X+(3) X+(3) X+(3) X+(3) X-(1) X-(1) N<(2)"),
+    (3, "^v^v|^v^vv^ : N>(2) X+(5) X-(1) X-(4) U(2) N<(3) X+(2) X-(3)"),
+)
+
+#: (n, left, right): seeded ``conftest.random_word_pair`` draws; the first
+#: three have a loop crossed by an open strand in one factor.
+MULTIPLY_CASES = (
+    (2, "v^^|v^v^^ : N<(4) X-(4) X+(3) X+(3) X-(4) U(4) N<(3)", "v^v^^|v^^ : X+(3) X-(3) X+(2) X-(1) U(2) N>(2) U(1)"),
+    (3, "|^v^v : N>(1) X+(1) N>(2) X-(1) X+(3)", "^v^v|v^ : U(3) N<(2) X-(3) X-(2) X+(1) X-(3) U(3)"),
+    (2, "|v^ : N<(1) X+(1) X+(1) N>(3) X+(2) U(3)", "v^|^v : X-(1) N>(2) X+(1) X+(2) X-(1) U(1)"),
+    (3, "v|^vv^v : N<(2) N>(2) X-(4) X+(1)", "^vv^v|^vv^v : X+(3) X-(1) X+(1) X+(3)"),
 )
 
 
@@ -58,6 +89,19 @@ def _matrix(n: int, boundary: str, generators: str) -> str:
     return _stdout_of(["matrix", "--n", str(n), "--boundary", boundary, "--generators", generators])
 
 
+def _structure_constants(n: int, r: int, s: int) -> str:
+    return _stdout_of(["structure-constants", "--n", str(n), "--r", str(r), "--s", str(s)])
+
+
+def _normalize(n: int, text: str) -> str:
+    ty, word = text.split(" : ")
+    return _stdout_of(["normalize", "--n", str(n), "--type", ty, "--word", word])
+
+
+def _multiply(n: int, left: str, right: str) -> str:
+    return _stdout_of(["multiply", "--n", str(n), "--left", left, "--right", right])
+
+
 def _cases() -> dict:
     cases = {"verify_all_seed7.json": _verify_all}
     for n, r, s in DUALITY_CASES:
@@ -65,6 +109,12 @@ def _cases() -> dict:
     for n, boundary, generators in MATRIX_CASES:
         spelled = boundary.replace("v", "d").replace("^", "u")
         cases[f"matrix_n{n}_{spelled}.json"] = lambda n=n, b=boundary, g=generators: _matrix(n, b, g)
+    for n, r, s in STRUCTURE_CASES:
+        cases[f"structure_constants_n{n}_r{r}_s{s}.json"] = lambda n=n, r=r, s=s: _structure_constants(n, r, s)
+    for k, (n, text) in enumerate(NORMALIZE_CASES, 1):
+        cases[f"normalize_{k:02d}_n{n}.json"] = lambda n=n, t=text: _normalize(n, t)
+    for k, (n, left, right) in enumerate(MULTIPLY_CASES, 1):
+        cases[f"multiply_{k:02d}_n{n}.json"] = lambda n=n, a=left, b=right: _multiply(n, a, b)
     return cases
 
 

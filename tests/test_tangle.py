@@ -127,6 +127,28 @@ class TestStrandGraph:
         assert len(g.loops) == 2
         assert [l.creating_slice for l in g.loops] == [0, 1]
 
+    def test_loops_crossed_by_an_open_strand_numbered_by_creation(self):
+        # Loop 2 is created first, to the right of the open DOWN strand; loop
+        # 3 is created second, at the far left, with a kink.  The open strand
+        # passes through both loops.
+        w = parse_word("N<(2) N<(1) X+(1) X-(2) X+(2) X+(3) X-(3) U(4) U(1)", parse_type("v^|v^"))
+        g = strand_graph(w)
+        assert g.starts == (("T", 1), ("B", 2))
+        assert g.ends == (("B", 1), ("T", 2))
+        assert g.strand_writhes == (0, 0)
+        assert [(l.creating_slice, l.orientation, l.writhe) for l in g.loops] == [(0, DOWN, 0), (1, DOWN, 1)]
+        table = [
+            (c.slice_index, c.hand, c.entry, c.sign, c.component_a, c.time_a, c.component_b, c.time_b)
+            for c in g.crossings
+        ]
+        assert table == [
+            (2, FO, (DOWN, UP), 1, 3, 0, 3, 3),
+            (3, FU, (DOWN, DOWN), 1, 3, 1, 0, 0),
+            (4, FO, (DOWN, DOWN), -1, 0, 1, 3, 2),
+            (5, FO, (DOWN, DOWN), -1, 0, 2, 2, 0),
+            (6, FU, (DOWN, DOWN), 1, 2, 1, 0, 3),
+        ]
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_each_crossing_has_two_distinct_passes(self, seed):
