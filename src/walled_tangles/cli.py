@@ -53,11 +53,11 @@ from .tangle import (
     all_down_type,
     apply_slice,
     canonical_basis_word,
+    connector_of,
     parse_type,
     parse_word,
     render_type,
     stack,
-    strand_graph,
     vertex_name,
 )
 
@@ -366,7 +366,7 @@ def _cmd_hecke_to_walled(args: argparse.Namespace) -> int:
 def _cmd_flip(args: argparse.Namespace) -> int:
     ty = all_down_type(args.r + args.s)
     word = _read_word_argument(args, ty)
-    flipped = classical_flip(strand_graph(word).connector, args.r, args.s)
+    flipped = classical_flip(connector_of(word), args.r, args.s)
     data = {"type": render_type(flipped.ty), "edges": _connector_json(flipped)}
     _emit(args, data, str(flipped))
     return 0

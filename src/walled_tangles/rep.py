@@ -429,9 +429,8 @@ def hecke_action_matrix(m: int, k: int, n: int) -> OperatorMatrix:
         swapped = idx[: k - 1] + (b, a) + idx[k + 1 :]
         if a == b:
             entries[(idx, idx)] = QINV
-        elif a < b:
-            entries[(idx, swapped)] = ONE
         else:
             entries[(idx, swapped)] = ONE
-            entries[(idx, idx)] = QINV - Q
+            if a > b:
+                entries[(idx, idx)] = QINV - Q
     return OperatorMatrix(n, boundary, boundary, entries)

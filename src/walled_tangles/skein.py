@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Union
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .tangle import (
     DOWN,
+    PEAK_SWEEP,
     UP,
     Connector,
     Cross,
@@ -178,8 +179,8 @@ def _smoothing_slices(word: TangleWord, crossing) -> tuple:
     a, b = crossing.entry
     if a is b:
         return ()
-    sweep = Sweep.LEFT_TO_RIGHT if (a, b) == (DOWN, UP) else Sweep.RIGHT_TO_LEFT
-    return (Min(pos), Max(pos, sweep))
+    # The peak recreates the pair the crossing leaves below it, (b, a).
+    return (Min(pos), Max(pos, PEAK_SWEEP[(b, a)]))
 
 
 @functools.cache
@@ -313,8 +314,7 @@ def turnback_word(top_pair: tuple, bottom_pair: tuple) -> TangleWord:
     for pair in (top_pair, bottom_pair):
         if pair[0] is pair[1]:
             raise ValueError("turnback needs opposite orientations on each pair")
-    sweep = Sweep.LEFT_TO_RIGHT if bottom_pair == (UP, DOWN) else Sweep.RIGHT_TO_LEFT
-    return TangleWord(TangleType(top_pair, bottom_pair), [Min(1), Max(1, sweep)])
+    return TangleWord(TangleType(top_pair, bottom_pair), [Min(1), Max(1, PEAK_SWEEP[bottom_pair])])
 
 
 def crossing_word(top_pair: tuple, hand: Hand) -> TangleWord:

@@ -13,6 +13,12 @@ Positions are 1-based within the current horizontal level.  A strand starts
 at a top DOWN point or a bottom UP point and ends at a top UP point or a
 bottom DOWN point; closed loops are allowed and arise from Max/Min pairs.
 
+Tracing numbers open strands by start and loops by creating peak: a loop's
+topmost point is a peak, so walking from each peak not yet walked, in slice
+order, meets every loop once.  The canonical diagram of a connector sets each
+crossing's hand as it emits it: the strand with the earlier start (the lower
+edge index) passes over.
+
 This module knows nothing about coefficients: it provides the combinatorial
 layer (validation, strand tracing, connectors, canonical diagram for a
 connector, and the textual word syntax) that the skein and matrix layers
@@ -99,6 +105,9 @@ _MAX_CREATES = {
     Sweep.LEFT_TO_RIGHT: (UP, DOWN),
     Sweep.RIGHT_TO_LEFT: (DOWN, UP),
 }
+
+#: The sweep of the peak that creates a given (left, right) orientation pair.
+PEAK_SWEEP = {pair: sweep for sweep, pair in _MAX_CREATES.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,10 +326,7 @@ def enumerate_connectors(ty: TangleType) -> list[Connector]:
     2
     """
     starts = start_vertices(ty)
-    ends = end_vertices(ty)
-    if len(starts) != len(ends):
-        raise ValueError(f"type {render_type(ty)} is unbalanced")
-    return [Connector(ty, zip(starts, perm)) for perm in itertools.permutations(ends)]
+    return [Connector(ty, zip(starts, perm)) for perm in itertools.permutations(end_vertices(ty))]
 
 
 # -- strand tracing -----------------------------------------------------------
@@ -492,44 +498,16 @@ def strand_graph(word: TangleWord) -> StrandGeometry:
             first, going_down = level[v[1] - 1], False
         ends.append(walk(first, going_down, comp))
 
-    # Remaining edges belong to closed loops.  Find each loop's earliest peak
-    # (the slice that creates it), then traverse from there with orientation.
-    loop_seeds = []
-    seen: set[int] = set(edge_component)
-    for e in sorted(orient):
-        if e in seen:
-            continue
-        cluster = [e]
-        seen.add(e)
-        frontier = [e]
-        while frontier:
-            x = frontier.pop()
-            for event in (up_event[x], down_event[x]):
-                kind, idx = event
-                if kind == "X":
-                    nxt = crossing_partner(idx, x)[0]
-                elif kind == "U":
-                    a, b = min_at[idx]
-                    nxt = a if x == b else b
-                else:
-                    c, d = max_at[idx]
-                    nxt = c if x == d else d
-                if nxt not in seen:
-                    seen.add(nxt)
-                    cluster.append(nxt)
-                    frontier.append(nxt)
-        creating = min(up_event[x][1] for x in cluster if up_event[x][0] == "N")
-        loop_seeds.append((creating, cluster))
-    loop_seeds.sort(key=lambda seed: seed[0])
-
+    # Every loop has a topmost point, a peak, so walking from each peak that
+    # no earlier walk has marked, in slice order, meets each loop once at
+    # its creating slice.
     loops = []
-    for li, (creating, cluster) in enumerate(loop_seeds):
-        comp = len(starts) + li
-        c, d = max_at[creating]
-        first = c if orient[c] is DOWN else d
-        closed = walk(first, True, comp)
+    for i, (c, d) in sorted(max_at.items()):
+        if c in edge_component:
+            continue
+        closed = walk(c if orient[c] is DOWN else d, True, len(starts) + len(loops))
         assert closed is None, "loop traversal must close up"
-        loops.append((creating, orient[c]))
+        loops.append((i, orient[c]))
 
     crossings = []
     for i in sorted(cross_at):
@@ -583,82 +561,63 @@ def canonical_basis_word(connector: Connector) -> TangleWord:
     Layout: top-to-top strands close first (each right endpoint walks left
     to meet its partner), the remaining through strands sort themselves into
     bottom order, and bottom-to-bottom strands open last (each right
-    endpoint walks right into place).  Every crossing then gets its hand
-    from the rule that the strand with the earlier start passes over.
+    endpoint walks right into place).  No strand crosses itself, and each
+    crossing gets its hand as it is emitted: the strand whose edge comes
+    first in ``connector.edges`` (the earlier start) passes over.  That
+    index is the strand's component in ``strand_graph``.
     """
     ty = connector.ty
-    tokens: list[tuple] = []  # ("cap", edge_index, "L"/"R") or ("through", bottom_pos)
-    caps: dict[int, tuple[int, int]] = {}
-    cups: list[tuple[int, int]] = []
-    tok_of_top: dict[int, tuple] = {}
+    # A token is (bottom target or None for a cap, edge index).
+    tokens: list[tuple] = [None] * len(ty.top)
+    caps: list[int] = []
+    cups: list[tuple[int, int, int]] = []
     for idx, (s, e) in enumerate(connector.edges):
         if s[0] == "T" and e[0] == "T":
-            caps[idx] = (min(s[1], e[1]), max(s[1], e[1]))
-            tok_of_top[s[1]] = ("cap", idx)
-            tok_of_top[e[1]] = ("cap", idx)
-        elif s[0] == "T":
-            tok_of_top[s[1]] = ("through", e[1])
-        elif e[0] == "T":
-            tok_of_top[e[1]] = ("through", s[1])
+            caps.append(idx)
+            tokens[s[1] - 1] = tokens[e[1] - 1] = (None, idx)
+        elif s[0] == "T" or e[0] == "T":
+            top, bottom = (s, e) if s[0] == "T" else (e, s)
+            tokens[top[1] - 1] = (bottom[1], idx)
         else:
-            lo, hi = min(s[1], e[1]), max(s[1], e[1])
-            cups.append((hi, lo))
-    tokens = [tok_of_top[k] for k in range(1, len(ty.top) + 1)]
+            cups.append((max(s[1], e[1]), min(s[1], e[1]), idx))
 
     slices: list[Slice] = []
 
     def emit_cross(p: int) -> None:
-        slices.append(Cross(p, Hand.FIRST_OVER))
+        first_over = tokens[p - 1][1] < tokens[p][1]
+        slices.append(Cross(p, Hand.FIRST_OVER if first_over else Hand.FIRST_UNDER))
         tokens[p - 1], tokens[p] = tokens[p], tokens[p - 1]
 
     # Close caps, always the one whose right endpoint is leftmost.
     while caps:
-        best = None
-        for idx in caps:
-            positions = [i + 1 for i, t in enumerate(tokens) if t == ("cap", idx)]
-            if best is None or positions[1] < best[1][1]:
-                best = (idx, positions)
-        idx, (a, b) = best
+        idx = min(caps, key=lambda c: max(i for i, t in enumerate(tokens) if t[1] == c))
+        caps.remove(idx)
+        a, b = (i + 1 for i, t in enumerate(tokens) if t[1] == idx)
         for p in range(b - 1, a, -1):
             emit_cross(p)
         slices.append(Min(a))
         del tokens[a - 1 : a + 1]
-        del caps[idx]
 
     # Sort through strands into the relative order of their bottom targets.
     changed = True
     while changed:
         changed = False
         for i in range(len(tokens) - 1):
-            if tokens[i][1] > tokens[i + 1][1]:
+            if tokens[i][0] > tokens[i + 1][0]:
                 emit_cross(i + 1)
                 changed = True
 
     # Open cups, rightmost right-endpoint first.
-    for hi, lo in sorted(cups, reverse=True):
-        p = sum(1 for t in tokens if t[1] < lo) + 1
-        pair = (ty.bottom[lo - 1], ty.bottom[hi - 1])
-        sweep = Sweep.LEFT_TO_RIGHT if pair == (UP, DOWN) else Sweep.RIGHT_TO_LEFT
-        slices.append(Max(p, sweep))
-        tokens[p - 1 : p - 1] = [("through", lo), ("through", hi)]
-        between = sum(1 for t in tokens if lo < t[1] < hi)
+    for hi, lo, idx in sorted(cups, reverse=True):
+        p = sum(1 for t in tokens if t[0] < lo) + 1
+        slices.append(Max(p, PEAK_SWEEP[(ty.bottom[lo - 1], ty.bottom[hi - 1])]))
+        tokens[p - 1 : p - 1] = [(lo, idx), (hi, idx)]
+        between = sum(1 for t in tokens if lo < t[0] < hi)
         for k in range(between):
             emit_cross(p + 1 + k)
 
-    assert [t[1] for t in tokens] == sorted(t[1] for t in tokens)
-    draft = TangleWord(ty, slices)
-    if not draft.slices or not any(isinstance(s, Cross) for s in draft.slices):
-        return draft
-
-    # Assign hands: at every crossing the strand with the earlier start
-    # (canonical order, then earlier traversal time) passes over.  Hands do
-    # not change strand paths, so one trace of the draft suffices.
-    geometry = strand_graph(draft)
-    fixed = list(draft.slices)
-    for c in geometry.crossings:
-        a_first = (c.component_a, c.time_a) < (c.component_b, c.time_b)
-        fixed[c.slice_index] = Cross(draft.slices[c.slice_index].pos, Hand.FIRST_OVER if a_first else Hand.FIRST_UNDER)
-    return TangleWord(ty, fixed)
+    assert [t[0] for t in tokens] == sorted(t[0] for t in tokens)
+    return TangleWord(ty, slices)
 
 
 # -- textual syntax -----------------------------------------------------------
@@ -775,12 +734,9 @@ def parse_word(text: str, ty: TangleType) -> TangleWord:
             if not 1 <= pos <= len(level) - 1:
                 raise DslError(f"turnback position {pos} out of range for width {len(level)}", offset)
             pair = (level[pos - 1], level[pos])
-            if pair == (DOWN, UP):
-                extend([Min(pos), Max(pos, Sweep.RIGHT_TO_LEFT)], offset)
-            elif pair == (UP, DOWN):
-                extend([Min(pos), Max(pos, Sweep.LEFT_TO_RIGHT)], offset)
-            else:
+            if pair not in PEAK_SWEEP:
                 raise DslError(f"turnback needs opposite orientations, got ({pair[0].value}, {pair[1].value})", offset)
+            extend([Min(pos), Max(pos, PEAK_SWEEP[pair])], offset)
 
     if level != ty.bottom:
         raise DslError(
