@@ -1,16 +1,20 @@
 """Byte-for-byte comparison of command-line output with committed golden files.
 
-The files under ``tests/golden/`` hold the output of ``verify all --seed 7``,
+The files under ``tests/golden/`` hold the output of ``verify all --seed 7``;
 the ``verify duality`` JSON, with ``timingsSeconds`` removed, on the four
-instances of the benchmark's ``duality`` workload at q0 = 5/3, and the
+instances of the benchmark's ``duality`` workload at q0 = 5/3, and on
+(2, 2, 2) at q0 = -5/3, 2, 1 and -1, which cover a negative numerator, an
+integer point and the coarser weight classes of the classical points; the
 ``matrix --generators`` JSON of four generator products on mixed boundaries
 (divided powers of level two and three, ``K'``, ``qh`` and the empty
-product), the ``structure-constants`` table of B_{2,1}^2, and the
+product); the ``matrix --type/--word`` JSON of four seeded words, the first
+with a closed loop; the ``structure-constants`` table of B_{2,1}^2; and the
 ``normalize`` and ``multiply`` JSON of thirteen seeded words.  Most of those
 words have closed loops crossed by open strands, so the files pin how loops
 are found and numbered as well as the normal forms.  The file name of a
-matrix case spells its boundary with ``d`` for a DOWN point and ``u`` for an
-UP point.  Editing a golden file changes what this check accepts; a change
+generator matrix case spells its boundary with ``d`` for a DOWN point and
+``u`` for an UP point; the file name of an off-default duality case spells
+its q0 with ``m`` for a minus sign and ``o`` for the fraction bar.  Editing a golden file changes what this check accepts; a change
 that does so on purpose says which file changed and why.
 """
 
@@ -29,11 +33,24 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 DUALITY_CASES = ((2, 2, 2), (2, 3, 1), (4, 1, 1), (2, 1, 3))
 
+#: (n, r, s, q0) away from the default q0 = 5/3.
+DUALITY_Q0_CASES = ((2, 2, 2, "-5/3"), (2, 2, 2, "2"), (2, 2, 2, "1"), (2, 2, 2, "-1"))
+
 MATRIX_CASES = (
     (3, "vv^v", "E(1,2) F(2) K'(1)"),
     (2, "^v^", "F(1,2) qh(2,-1) E(1,3)"),
     (3, "v^v^", "E(2,2) K(1) F(1,2) qh(1,0,-2)"),
     (2, "vv^", ""),
+)
+
+#: (n, "TYPE : WORD"): seeded ``conftest.random_word`` draws (seeds 7, 25, 20
+#: and 13 with at most three boundary points, width four, three crossings and
+#: six slices), written out; the first closes a loop.
+WORD_MATRIX_CASES = (
+    (2, "v^|^v : X+(1) X-(1) N<(3) X-(1) U(3)"),
+    (3, "vv^|v^v : X-(2) X+(1) X+(2) U(1) N>(2)"),
+    (2, "^|^v^ : N>(1) X+(2) U(2) N<(1) X+(1)"),
+    (3, "^v|^^vv : N>(1) X+(2) U(2) N>(1) X+(2)"),
 )
 
 STRUCTURE_CASES = ((2, 2, 1),)
@@ -77,9 +94,9 @@ def _verify_all() -> str:
     return _stdout_of(["verify", "all", "--seed", "7"])
 
 
-def _duality(n: int, r: int, s: int) -> str:
+def _duality(n: int, r: int, s: int, q0: str = "5/3") -> str:
     data = json.loads(
-        _stdout_of(["verify", "duality", "--n", str(n), "--r", str(r), "--s", str(s), "--q0", "5/3"])
+        _stdout_of(["verify", "duality", "--n", str(n), "--r", str(r), "--s", str(s), f"--q0={q0}"])
     )
     del data["timingsSeconds"]
     return json.dumps(data, indent=2) + "\n"
@@ -87,6 +104,11 @@ def _duality(n: int, r: int, s: int) -> str:
 
 def _matrix(n: int, boundary: str, generators: str) -> str:
     return _stdout_of(["matrix", "--n", str(n), "--boundary", boundary, "--generators", generators])
+
+
+def _word_matrix(n: int, text: str) -> str:
+    ty, word = text.split(" : ")
+    return _stdout_of(["matrix", "--n", str(n), "--type", ty, "--word", word])
 
 
 def _structure_constants(n: int, r: int, s: int) -> str:
@@ -106,9 +128,14 @@ def _cases() -> dict:
     cases = {"verify_all_seed7.json": _verify_all}
     for n, r, s in DUALITY_CASES:
         cases[f"duality_n{n}_r{r}_s{s}.json"] = lambda n=n, r=r, s=s: _duality(n, r, s)
+    for n, r, s, q0 in DUALITY_Q0_CASES:
+        spelled = q0.replace("-", "m").replace("/", "o")
+        cases[f"duality_n{n}_r{r}_s{s}_q{spelled}.json"] = lambda n=n, r=r, s=s, q=q0: _duality(n, r, s, q)
     for n, boundary, generators in MATRIX_CASES:
         spelled = boundary.replace("v", "d").replace("^", "u")
         cases[f"matrix_n{n}_{spelled}.json"] = lambda n=n, b=boundary, g=generators: _matrix(n, b, g)
+    for k, (n, text) in enumerate(WORD_MATRIX_CASES, 1):
+        cases[f"matrix_word_{k:02d}_n{n}.json"] = lambda n=n, t=text: _word_matrix(n, t)
     for n, r, s in STRUCTURE_CASES:
         cases[f"structure_constants_n{n}_r{r}_s{s}.json"] = lambda n=n, r=r, s=s: _structure_constants(n, r, s)
     for k, (n, text) in enumerate(NORMALIZE_CASES, 1):
