@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .duality import ResourceLimitError, classical_flip, verify_schur_weyl
 from .laurent import Q, QINV
-from .qgroup import E, F, K, QH, UGenerator, gen_on_mixed
+from .qgroup import E, F, K, QH, UGenerator, word_matrix
 from .rep import (
     OperatorMatrix,
     hecke_action_matrix,
@@ -326,9 +326,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         gens = parse_dsl(args.generators)
         if isinstance(gens, TangleWord):
             raise DslError("--generators expects generator tokens, not a word", 0)
-        matrix = OperatorMatrix.identity(args.n, boundary)
-        for gen in reversed(gens):
-            matrix = matrix.matmul(gen_on_mixed(gen, boundary, args.n))
+        matrix = word_matrix(gens, boundary, args.n)
     else:
         if args.type is None:
             raise DslError("matrix needs --type with --word, or --generators", 0)
@@ -521,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--m", type=int, default=3, help="largest strand count for the hecke suite")
-    p.add_argument("--q0", default="5/3", help="exact rational specialization point")
+    p.add_argument("--q0", default="5/3", help="exact rational specialization point, negative as --q0=-5/3")
     p.add_argument("--seed", type=int, default=7, help="seed for the sampled suites, echoed in the report")
     p.add_argument("--count", type=int, default=25, help="sample count for the sampled suites")
     p.add_argument("--format", choices=("human", "json"), default="json")

@@ -5,7 +5,8 @@ tensor space and are supposed to be each other's full commutant.  This
 module measures both sides exactly: the rank of the span of the basis
 diagram matrices, and the dimension of the space of matrices commuting
 with every generator in a sweep, both at an exact rational specialization
-of q via fraction-free integer elimination.  Containment is proved
+of q.  Each matrix is specialized to integers over one denominator, which
+no rank depends on, and eliminated fraction-free.  Containment is proved
 identically in q once per elementary slice of the basis words, which by
 functoriality covers every basis matrix (``_first_uncommuting_step``).
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .laurent import ExactRational
@@ -55,27 +56,26 @@ class ResourceLimitError(RuntimeError):
     """A commutant or rank job would exceed the configured size budget."""
 
 
-# -- exact linear algebra over the rationals ----------------------------------
+# -- exact linear algebra over the integers -----------------------------------
 
 
-def _rank_of_rows(rows: Iterable[Mapping[Hashable, ExactRational]]) -> int:
-    """Rank over the rationals of sparse rows by fraction-free elimination.
+def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
+    """Rank of sparse integer rows by fraction-free elimination.
 
-    Each row maps column keys to exact rationals; absent keys are zero.
-    Rows are scaled to coprime integers once.  Columns are eliminated in
-    sorted order: each step picks the sparsest row holding the column as
-    pivot, cross-multiplies it into every other such row and divides out
-    the content, so every intermediate entry stays an exact integer of
-    moderate size and only occupied positions are ever touched.
+    Each row maps column keys to integers; absent keys are zero.  Rows are
+    divided by their content once.  Columns are eliminated in sorted order:
+    each step picks the sparsest row holding the column as pivot,
+    cross-multiplies it into every other such row and divides out the
+    content, so every intermediate entry stays an exact integer of moderate
+    size and only occupied positions are ever touched.
 
-    >>> _rank_of_rows([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}, {2: 3}])
+    >>> _rank_of_rows([{0: 1, 1: 2}, {0: -3, 1: -6}, {2: 3}])
     2
     """
     work: dict[int, dict] = {}
     holders: dict[Hashable, set[int]] = {}
     for rid, row in enumerate(rows):
-        den = lcm(*(value.denominator for value in row.values()))
-        ints = {col: value.numerator * (den // value.denominator) for col, value in row.items() if value}
+        ints = {col: value for col, value in row.items() if value}
         if not ints:
             continue
         g = gcd(*ints.values())
@@ -187,10 +187,10 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
 
     Each of the (r+s)! connectors is rendered from its canonical basis word
     directly at q0 by ``specialized_word_matrices``, which is exact because
-    specializing q is a ring homomorphism.  Each matrix is flattened to a
-    sparse vector; elimination runs over the union of the occupied
-    positions, so the cost scales with the number of basis elements and
-    their support, not with the full matrix square.
+    specializing q is a ring homomorphism.  Each integer matrix, its scale
+    dropped, is flattened to a sparse vector; elimination runs over the
+    union of the occupied positions, so the cost scales with the number of
+    basis elements and their support, not with the full matrix square.
     """
     m = r + s
     _require_budget(factorial(m), "the basis dependency system")
@@ -198,8 +198,8 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     size = len(index)
     words = [canonical_basis_word(connector) for connector in enumerate_connectors(algebra_type(r, s))]
     return _rank_of_rows(
-        {index[row] * size + index[col]: value for (row, col), value in values.items()}
-        for values in specialized_word_matrices(words, n, q0)
+        {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
+        for rows, _ in specialized_word_matrices(words, n, q0)
     )
 
 
@@ -212,14 +212,15 @@ def _weight_classes(
     it then vanishes between labels of different eigenvalues.  Away from
     q = 1 and q = -1 the classes are the weight spaces; at those classical
     points the eigenvalues coincide more often and the classes coarsen, down
-    to a single class at q = 1.
+    to a single class at q = 1.  One denominator per generator scales a
+    whole signature entry alike, so the classes do not depend on it.
     """
     labels = list(label_tuples(n, len(boundary)))
     signature: dict[MultiIndex, tuple] = {label: () for label in labels}
     for gen in sweep:
         if not isinstance(gen, K):
             continue
-        action = gen_on_mixed(gen, boundary, n).evaluate(q0)
+        action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
         if any(row != col for row, col in action):
             raise RuntimeError(f"{gen} does not act diagonally on the labels")
         for label in labels:
@@ -243,7 +244,8 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     blocks of one eigenvalue class each, so only the entries inside a class
     are unknowns.  The raising and lowering generators then give the sparse
     homogeneous system [X, A] = 0, one row per matrix position it touches,
-    solved by exact elimination; the answer is the nullity.
+    solved by exact elimination; the answer is the nullity.  Each A enters
+    as integers over its one denominator, which scales its whole system.
     """
     boundary = algebra_type(r, s).top
     size = n ** (r + s)
@@ -261,10 +263,11 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
             continue
         by_row: dict[MultiIndex, list] = {}
         by_col: dict[MultiIndex, list] = {}
-        for (row_label, col_label), value in gen_on_mixed(gen, boundary, n).evaluate(q0).items():
+        action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
+        for (row_label, col_label), value in action.items():
             by_row.setdefault(row_label, []).append((col_label, value))
             by_col.setdefault(col_label, []).append((row_label, value))
-        system: dict[tuple[MultiIndex, MultiIndex], dict[int, Fraction]] = {}
+        system: dict[tuple[MultiIndex, MultiIndex], dict[int, int]] = {}
         for t, (left, right) in enumerate(unknowns):
             # X[left, right] enters (XA)[left, j] through A[right, j] and
             # (AX)[i, right] through A[i, left].

@@ -217,20 +217,6 @@ Q = LaurentPoly({1: 1})
 QINV = LaurentPoly({-1: 1})
 
 
-def lp_eval(poly: LaurentPoly, q0: ExactRational) -> ExactRational:
-    """Specialize q to a nonzero exact rational.
-
-    >>> lp_eval(LaurentPoly({-1: 1, 1: 1}), Fraction(2))
-    Fraction(5, 2)
-    >>> lp_eval(ZERO, Fraction(5, 3))
-    Fraction(0, 1)
-    """
-    q0 = Fraction(q0)
-    if q0 == 0:
-        raise ValueError("cannot specialize q to 0: negative exponents occur")
-    return sum((Fraction(c) * q0 ** e for e, c in poly.terms), Fraction(0))
-
-
 def quantum_int(l: int) -> LaurentPoly:
     """The balanced quantum integer: the l-term sum of q^(2i - l + 1).
 

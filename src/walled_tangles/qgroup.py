@@ -112,7 +112,7 @@ def _alpha_weight(i: int, n: int, multiple: int = 1) -> QH:
     return QH(weight)
 
 
-def _word_matrix(gens, boundary: tuple[Orientation, ...], n: int) -> OperatorMatrix:
+def word_matrix(gens, boundary: tuple[Orientation, ...], n: int) -> OperatorMatrix:
     """Matrix of a product of generators: the rightmost factor acts first."""
     out = OperatorMatrix.identity(n, boundary)
     for gen in reversed(tuple(gens)):
@@ -209,7 +209,7 @@ def _sum_terms(terms, left, right, n) -> OperatorMatrix:
     """Evaluate a list of (coefficient, left word, right word) tensor terms."""
     total = OperatorMatrix(n, left + right, left + right)
     for coeff, left_gens, right_gens in terms:
-        term = _word_matrix(left_gens, left, n).kron(_word_matrix(right_gens, right, n))
+        term = word_matrix(left_gens, left, n).kron(word_matrix(right_gens, right, n))
         total = total + term.scaled(coeff)
     return total
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, lp_eval, quantum_int
+from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .skein import TangleElement
 from .tangle import (
     DOWN,
@@ -147,13 +145,22 @@ class OperatorMatrix:
     def commutator(self, other: OperatorMatrix) -> OperatorMatrix:
         return self.matmul(other) - other.matmul(self)
 
-    def evaluate(self, q0: ExactRational) -> dict[tuple[MultiIndex, MultiIndex], ExactRational]:
-        out = {}
-        for key, v in self.entries.items():
-            value = lp_eval(v, q0)
-            if value:
-                out[key] = value
-        return out
+    def evaluate(self, q0: ExactRational) -> tuple[dict[tuple[MultiIndex, MultiIndex], int], int]:
+        """The matrix at q = q0 = a/b as integers over one denominator: the
+        nonzero entries times den, and den = a^(-lo) * b^hi for the exponent
+        range [lo, hi] widened to contain 0.  den may be negative, never 0.
+
+        >>> from fractions import Fraction
+        >>> OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (2,)): Q + QINV}).evaluate(Fraction(-5, 3))
+        ({((1,), (2,)): 34}, -15)
+        """
+        if q0 == 0:
+            raise ValueError("cannot specialize q to 0: negative exponents occur")
+        exps = [e for v in self.entries.values() for e, _ in v.terms] + [0]
+        lo, hi = min(exps), max(exps)
+        a, b = q0.numerator, q0.denominator
+        values = {key: sum(c * a ** (e - lo) * b ** (hi - e) for e, c in v.terms) for key, v in self.entries.items()}
+        return {key: value for key, value in values.items() if value}, a ** -lo * b ** hi
 
     def to_json(self) -> dict:
         ordered = sorted(self.entries.items())
@@ -280,15 +287,15 @@ def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
     return mat
 
 
-def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRational) -> list[dict]:
-    """Matrices of the words at q = q0: one exact {(row, col): Fraction} map
-    per word, in input order.
+def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRational) -> list[tuple[dict, int]]:
+    """Matrices of the words at q = q0, in input order: one (rows, scale)
+    pair per word, the matrix being the integers {row: {col: entry}} / scale.
 
-    Each distinct (level, slice) pair is specialized once, as integers over
-    a common denominator, and the words are multiplied depth-first along the
-    trie of their slice prefixes, so a shared prefix is multiplied once and
-    only the products on the current path are held.  Exact, because
-    specializing q is a ring homomorphism.
+    Each distinct (level, slice) pair is specialized once by ``evaluate``,
+    to integers over one denominator, and the words are multiplied
+    depth-first along the trie of their slice prefixes, so a shared prefix
+    is multiplied once and only the products on the current path are held.
+    Exact, because specializing q is a ring homomorphism.
     """
     paths = [tuple(zip(word.levels, word.slices)) for word in words]
     factors: dict[tuple, tuple[dict, int]] = {}  # (level, slice) -> (rows, denominator)
@@ -298,16 +305,15 @@ def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRati
         children: dict[tuple, list[int]] = {}
         for w in members:
             if len(paths[w]) == depth:
-                out[w] = {(i, k): Fraction(v, scale) for i, row in product.items() for k, v in row.items()}
+                out[w] = (product, scale)
             else:
                 children.setdefault(paths[w][depth], []).append(w)
         for step, group in children.items():
             if step not in factors:
-                values = slice_matrix(n, *step).evaluate(q0)
-                den = math.lcm(*(v.denominator for v in values.values()))
+                values, den = slice_matrix(n, *step).evaluate(q0)
                 by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
                 for (row, col), v in values.items():
-                    by_row.setdefault(row, {})[col] = v.numerator * (den // v.denominator)
+                    by_row.setdefault(row, {})[col] = v
                 factors[step] = (by_row, den)
             by_row, den = factors[step]
             below = {}
@@ -323,6 +329,10 @@ def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRati
     for top in dict.fromkeys(word.ty.top for word in words):
         identity = {idx: {idx: 1} for idx in label_tuples(n, len(top))}
         descend([w for w, word in enumerate(words) if word.ty.top == top], 0, identity, 1)
+    # descend reaches itself through its closure; left in place, that cycle
+    # keeps the slice factors and every word's product alive past this call,
+    # until a cyclic collection.
+    del descend
     return out
 
 

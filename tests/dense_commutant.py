@@ -97,10 +97,8 @@ def dense_commutant_dim(n: int, r: int, s: int, q0) -> int:
     size = n ** (r + s)
     rows = []
     for gen in divided_power_sweep(n, r + s):
-        action = {
-            key: Fraction(value)
-            for key, value in gen_on_mixed(gen, boundary, n).evaluate(q0).items()
-        }
+        entries, den = gen_on_mixed(gen, boundary, n).evaluate(q0)
+        action = {key: Fraction(value, den) for key, value in entries.items()}
         for i in range(size):
             for j in range(size):
                 row = [Fraction(0)] * (size * size)

@@ -14,9 +14,10 @@ from math import factorial
 
 import pytest
 from conftest import compose_brauer, permutation_words, random_word
+from eval_oracle import lp_eval
 
 from walled_tangles.duality import classical_flip, image_rank, verify_schur_weyl
-from walled_tangles.laurent import ONE, Q, QINV, LaurentPoly, lp_eval, quantum_int
+from walled_tangles.laurent import ONE, Q, QINV, LaurentPoly, quantum_int
 from walled_tangles.qgroup import check_divpowers
 from walled_tangles.rep import (
     OperatorMatrix,

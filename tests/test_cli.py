@@ -225,6 +225,17 @@ class TestVerify:
         assert data["faithful"] is False
         assert data["allPass"] is True
 
+    def test_negative_specialization_point_in_equals_form(self, capsys):
+        data = run_json(
+            capsys,
+            "verify", "duality", "--n", "2", "--r", "2", "--s", "1", "--q0=-5/3",
+            schema="duality-report.schema.json",
+        )
+        assert data["q0"] == "-5/3"
+        assert data["imageRank"] == 5
+        assert data["commutantDim"] == 5
+        assert data["allPass"] is True
+
     def test_bad_specialization_point_is_a_usage_error(self, capsys):
         for bad in ("zebra", "0"):
             code, _, err = run_cli(

@@ -7,12 +7,14 @@ import contextlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from conftest import compose_brauer, permutation_words
-from dense_commutant import dense_commutant_dim, divided_power_sweep
+from dense_commutant import dense_commutant_dim, dense_rank, divided_power_sweep
 from descent_oracle import matrix_by_descent
+from eval_oracle import lp_eval
 
 import walled_tangles.duality as duality
 import walled_tangles.rep as rep
@@ -25,7 +27,7 @@ from walled_tangles.duality import (
     image_rank,
     verify_schur_weyl,
 )
-from walled_tangles.laurent import Q, QINV, LaurentPoly, lp_eval
+from walled_tangles.laurent import Q, QINV, LaurentPoly
 from walled_tangles.qgroup import K, gen_on_mixed
 from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element, matrix_of_word
 from walled_tangles.skein import hecke_to_walled, identity_element, normalize, structure_constants
@@ -43,6 +45,50 @@ from walled_tangles.tangle import (
 )
 
 Q0 = Fraction(5, 3)
+
+
+def random_integer_rows(rng: random.Random, height: int, width: int, support: int) -> list[dict[int, int]]:
+    """Sparse integer rows of a chosen rank deficiency: fresh rows, zero
+    rows, duplicates, negations and integer combinations of earlier rows,
+    with signed entries, some of them above 2^64."""
+    rows: list[dict[int, int]] = []
+    for _ in range(height):
+        kind = rng.choice(("fresh", "fresh", "zero", "duplicate", "negated", "combination")) if rows else "fresh"
+        if kind == "zero":
+            rows.append({})
+        elif kind == "duplicate":
+            rows.append(dict(rng.choice(rows)))
+        elif kind == "negated":
+            rows.append({c: -v for c, v in rng.choice(rows).items()})
+        elif kind == "combination":
+            (a, u), (b, v) = ((rng.randint(-5, 5), rng.choice(rows)) for _ in range(2))
+            row = {c: a * u.get(c, 0) + b * v.get(c, 0) for c in u.keys() | v.keys()}
+            rows.append({c: x for c, x in row.items() if x})
+        else:
+            cols = rng.sample(range(width), min(support, width))
+            row = {c: rng.choice((-1, 1)) * rng.choice((1, 2, 3, 2**64 + rng.randint(1, 2**10))) for c in cols}
+            row[cols[0]] = rng.choice((-1, 1)) * (2**64 + rng.randint(1, 2**10))
+            rows.append(row)
+    return rows
+
+
+class TestRankOfRows:
+    @pytest.mark.parametrize(
+        "height,width,support,seed",
+        [(6, 5, 3, s) for s in range(4)]
+        + [(12, 9, 4, s) for s in range(4)]
+        + [(16, 40, 8, s) for s in range(3)]
+        + [(24, 2000, 60, s) for s in range(2)],
+    )
+    def test_matches_the_dense_rank(self, height, width, support, seed):
+        rows = random_integer_rows(random.Random(seed), height, width, support)
+        assert any(abs(v) > 2**64 for row in rows for v in row.values())
+        dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+        assert duality._rank_of_rows(rows) == dense_rank(dense)
+
+    def test_empty_and_zero_rows(self):
+        assert duality._rank_of_rows([]) == 0
+        assert duality._rank_of_rows([{}, {3: 0}]) == 0
 
 
 class TestExactRanks:

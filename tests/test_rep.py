@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_word
+from dense_commutant import divided_power_sweep
 from descent_oracle import matrix_by_descent, procedure_value
+from eval_oracle import lp_eval
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
+from walled_tangles.qgroup import gen_on_mixed
 from walled_tangles.rep import (
     OperatorMatrix,
     hecke_action_matrix,
@@ -81,9 +84,9 @@ class TestOperatorMatrix:
 
     def test_evaluate_drops_zeros(self):
         m = OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (1,)): Q - Q})
-        assert m.evaluate(Fraction(5, 3)) == {}
+        assert m.evaluate(Fraction(5, 3)) == ({}, 1)
         m2 = OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (2,)): Q})
-        assert m2.evaluate(Fraction(5, 3)) == {((1,), (2,)): Fraction(5, 3)}
+        assert m2.evaluate(Fraction(5, 3)) == ({((1,), (2,)): 5}, 3)
 
     def test_json_round_shape(self):
         data = psi_matrix(2).to_json()
@@ -94,6 +97,44 @@ class TestOperatorMatrix:
     def test_render_small_is_grid(self):
         text = render_matrix(OperatorMatrix.identity(2, (DOWN,)))
         assert "1*q^0" in text
+
+
+EVAL_POINTS = (
+    Fraction(5, 3), Fraction(-5, 3), Fraction(2), Fraction(1, 2), Fraction(-7, 4), Fraction(1), Fraction(-1)
+)
+
+
+def assert_evaluate_matches_the_oracle(mat: OperatorMatrix, q0: Fraction) -> None:
+    """``evaluate`` against ``lp_eval`` entry by entry, and its one
+    denominator against a^(-lo) * b^hi."""
+    entries, den = mat.evaluate(q0)
+    exps = [e for poly in mat.entries.values() for e, _ in poly.terms] + [0]
+    assert den == q0.numerator ** -min(exps) * q0.denominator ** max(exps)
+    assert den != 0
+    assert set(entries) <= set(mat.entries)
+    assert all(isinstance(v, int) and v for v in entries.values())
+    for key, poly in mat.entries.items():
+        assert Fraction(entries.get(key, 0), den) == lp_eval(poly, q0), (key, poly, q0)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("q0", EVAL_POINTS, ids=str)
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_random_word_matrices(self, seed, q0):
+        rng = random.Random(seed)
+        for _ in range(12):
+            word = random_word(rng, max_crossings=4, max_slices=6)
+            assert_evaluate_matches_the_oracle(matrix_of_word(word, rng.randint(1, 3)), q0)
+
+    @pytest.mark.parametrize("q0", EVAL_POINTS, ids=str)
+    def test_divided_power_sweep_on_a_mixed_boundary(self, q0):
+        for gen in divided_power_sweep(3, 3):
+            assert_evaluate_matches_the_oracle(gen_on_mixed(gen, (DOWN, UP, DOWN), 3), q0)
+
+    def test_values_vanishing_at_q0_are_dropped(self):
+        m = OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (1,)): Q - QINV, ((2,), (2,)): Q + QINV})
+        assert m.evaluate(Fraction(1)) == ({((2,), (2,)): 2}, 1)
+        assert m.evaluate(Fraction(-1)) == ({((2,), (2,)): 2}, -1)
 
 
 class TestSliceMatrices:
@@ -324,8 +365,9 @@ class TestConnectorMatrices:
         n = 2
         for connector in enumerate_connectors(algebra_type(1, 1)):
             word = canonical_basis_word(connector)
-            for value in matrix_of_word(word, n).evaluate(Fraction(1)).values():
-                assert value in (Fraction(0), Fraction(1))
+            entries, den = matrix_of_word(word, n).evaluate(Fraction(1))
+            for value in entries.values():
+                assert Fraction(value, den) in (Fraction(0), Fraction(1))
 
 
 class TestOracleEquivalence:

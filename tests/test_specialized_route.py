@@ -4,6 +4,7 @@ independent count of permutations."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -24,9 +25,26 @@ def test_specialized_matrices_match_the_symbolic_route(n, r, s, q0):
     words = [canonical_basis_word(c) for c in connectors]
     specialized = specialized_word_matrices(words, n, q0)
     assert len(specialized) == len(connectors)
-    for connector, values in zip(connectors, specialized):
-        assert values == matrix_by_descent(connector, n).evaluate(q0)
-        assert all(isinstance(v, Fraction) and v for v in values.values())
+    for connector, (rows, scale) in zip(connectors, specialized):
+        entries, den = matrix_by_descent(connector, n).evaluate(q0)
+        values = {(i, k): Fraction(v, scale) for i, cols in rows.items() for k, v in cols.items()}
+        assert values == {key: Fraction(v, den) for key, v in entries.items()}
+        assert all(isinstance(v, int) and v for cols in rows.values() for v in cols.values())
+
+
+def test_rendering_leaves_no_reference_cycle():
+    # A cycle would hold the slice factors and every product until the
+    # cyclic collector ran, which made the rendering's peak memory depend on
+    # when that happened.
+    words = [canonical_basis_word(c) for c in enumerate_connectors(algebra_type(2, 1))]
+    specialized_word_matrices(words, 2, Fraction(5, 3))  # warm the memos
+    gc.collect()
+    gc.disable()
+    try:
+        specialized_word_matrices(words, 2, Fraction(5, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _longest_decreasing(perm: tuple[int, ...]) -> int:
