@@ -9,13 +9,18 @@ integer point and the coarser weight classes of the classical points; the
 (divided powers of level two and three, ``K'``, ``qh`` and the empty
 product); the ``matrix --type/--word`` JSON of four seeded words, the first
 with a closed loop; the ``structure-constants`` table of B_{2,1}^2; and the
-``normalize`` and ``multiply`` JSON of thirteen seeded words.  Most of those
-words have closed loops crossed by open strands, so the files pin how loops
-are found and numbered as well as the normal forms.  The file name of a
+``normalize`` and ``multiply`` JSON of thirteen seeded words; and the
+``hecke-to-walled`` and ``flip`` JSON of two words each.  Most of the
+normalized and multiplied words have closed loops crossed by open strands,
+so the files pin how loops are found and numbered as well as the normal
+forms.  Each of these commands, except the duality reports, also has its
+``--format human`` text pinned in a ``.txt`` file beside the JSON, and
+``verify duality`` has its text pinned on (2, 2, 2).  The file name of a
 generator matrix case spells its boundary with ``d`` for a DOWN point and
 ``u`` for an UP point; the file name of an off-default duality case spells
-its q0 with ``m`` for a minus sign and ``o`` for the fraction bar.  Editing a golden file changes what this check accepts; a change
-that does so on purpose says which file changed and why.
+its q0 with ``m`` for a minus sign and ``o`` for the fraction bar.  Editing
+a golden file changes what this check accepts; a change that does so on
+purpose says which file changed and why.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import contextlib
 import io
 import json
 import pathlib
+from functools import partial
 
 import pytest
 
@@ -54,6 +60,14 @@ WORD_MATRIX_CASES = (
 )
 
 STRUCTURE_CASES = ((2, 2, 1),)
+
+#: (n, r, s, WORD) for ``hecke-to-walled``: all-down words on r + s strands.
+HECKE_CASES = ((2, 2, 2, "X+(2)"), (3, 1, 2, "X-(1) X+(2)"))
+
+#: (r, s, WORD) for ``flip``: permutation words on r + s down strands.
+FLIP_CASES = ((2, 1, "X+(2)"), (2, 2, "X+(2) X-(1) X+(3)"))
+
+HUMAN = ("--format", "human")
 
 #: (n, "TYPE : WORD"): seeded ``conftest.random_word`` draws, written out so
 #: that the cases do not depend on the generator, and, seventh, the word of
@@ -90,8 +104,8 @@ def _stdout_of(argv: list[str]) -> str:
     return buffer.getvalue()
 
 
-def _verify_all() -> str:
-    return _stdout_of(["verify", "all", "--seed", "7"])
+def _verify_all(*extra: str) -> str:
+    return _stdout_of(["verify", "all", "--seed", "7", *extra])
 
 
 def _duality(n: int, r: int, s: int, q0: str = "5/3") -> str:
@@ -102,46 +116,69 @@ def _duality(n: int, r: int, s: int, q0: str = "5/3") -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _matrix(n: int, boundary: str, generators: str) -> str:
-    return _stdout_of(["matrix", "--n", str(n), "--boundary", boundary, "--generators", generators])
+def _duality_human(n: int, r: int, s: int) -> str:
+    return _stdout_of(["verify", "duality", "--n", str(n), "--r", str(r), "--s", str(s), *HUMAN])
 
 
-def _word_matrix(n: int, text: str) -> str:
+def _matrix(n: int, boundary: str, generators: str, *extra: str) -> str:
+    return _stdout_of(["matrix", "--n", str(n), "--boundary", boundary, "--generators", generators, *extra])
+
+
+def _word_matrix(n: int, text: str, *extra: str) -> str:
     ty, word = text.split(" : ")
-    return _stdout_of(["matrix", "--n", str(n), "--type", ty, "--word", word])
+    return _stdout_of(["matrix", "--n", str(n), "--type", ty, "--word", word, *extra])
 
 
-def _structure_constants(n: int, r: int, s: int) -> str:
-    return _stdout_of(["structure-constants", "--n", str(n), "--r", str(r), "--s", str(s)])
+def _structure_constants(n: int, r: int, s: int, *extra: str) -> str:
+    return _stdout_of(["structure-constants", "--n", str(n), "--r", str(r), "--s", str(s), *extra])
 
 
-def _normalize(n: int, text: str) -> str:
+def _normalize(n: int, text: str, *extra: str) -> str:
     ty, word = text.split(" : ")
-    return _stdout_of(["normalize", "--n", str(n), "--type", ty, "--word", word])
+    return _stdout_of(["normalize", "--n", str(n), "--type", ty, "--word", word, *extra])
 
 
-def _multiply(n: int, left: str, right: str) -> str:
-    return _stdout_of(["multiply", "--n", str(n), "--left", left, "--right", right])
+def _multiply(n: int, left: str, right: str, *extra: str) -> str:
+    return _stdout_of(["multiply", "--n", str(n), "--left", left, "--right", right, *extra])
+
+
+def _hecke_to_walled(n: int, r: int, s: int, word: str, *extra: str) -> str:
+    return _stdout_of(["hecke-to-walled", "--n", str(n), "--r", str(r), "--s", str(s), "--word", word, *extra])
+
+
+def _flip(r: int, s: int, word: str, *extra: str) -> str:
+    return _stdout_of(["flip", "--r", str(r), "--s", str(s), "--word", word, *extra])
 
 
 def _cases() -> dict:
     cases = {"verify_all_seed7.json": _verify_all}
     for n, r, s in DUALITY_CASES:
-        cases[f"duality_n{n}_r{r}_s{s}.json"] = lambda n=n, r=r, s=s: _duality(n, r, s)
+        cases[f"duality_n{n}_r{r}_s{s}.json"] = partial(_duality, n, r, s)
     for n, r, s, q0 in DUALITY_Q0_CASES:
         spelled = q0.replace("-", "m").replace("/", "o")
-        cases[f"duality_n{n}_r{r}_s{s}_q{spelled}.json"] = lambda n=n, r=r, s=s, q=q0: _duality(n, r, s, q)
+        cases[f"duality_n{n}_r{r}_s{s}_q{spelled}.json"] = partial(_duality, n, r, s, q0)
+    for k, (n, r, s, word) in enumerate(HECKE_CASES, 1):
+        cases[f"hecke_to_walled_{k:02d}_n{n}.json"] = partial(_hecke_to_walled, n, r, s, word)
+    for k, (r, s, word) in enumerate(FLIP_CASES, 1):
+        cases[f"flip_{k:02d}_r{r}_s{s}.json"] = partial(_flip, r, s, word)
     for n, boundary, generators in MATRIX_CASES:
         spelled = boundary.replace("v", "d").replace("^", "u")
-        cases[f"matrix_n{n}_{spelled}.json"] = lambda n=n, b=boundary, g=generators: _matrix(n, b, g)
+        cases[f"matrix_n{n}_{spelled}.json"] = partial(_matrix, n, boundary, generators)
     for k, (n, text) in enumerate(WORD_MATRIX_CASES, 1):
-        cases[f"matrix_word_{k:02d}_n{n}.json"] = lambda n=n, t=text: _word_matrix(n, t)
+        cases[f"matrix_word_{k:02d}_n{n}.json"] = partial(_word_matrix, n, text)
     for n, r, s in STRUCTURE_CASES:
-        cases[f"structure_constants_n{n}_r{r}_s{s}.json"] = lambda n=n, r=r, s=s: _structure_constants(n, r, s)
+        cases[f"structure_constants_n{n}_r{r}_s{s}.json"] = partial(_structure_constants, n, r, s)
     for k, (n, text) in enumerate(NORMALIZE_CASES, 1):
-        cases[f"normalize_{k:02d}_n{n}.json"] = lambda n=n, t=text: _normalize(n, t)
+        cases[f"normalize_{k:02d}_n{n}.json"] = partial(_normalize, n, text)
     for k, (n, left, right) in enumerate(MULTIPLY_CASES, 1):
-        cases[f"multiply_{k:02d}_n{n}.json"] = lambda n=n, a=left, b=right: _multiply(n, a, b)
+        cases[f"multiply_{k:02d}_n{n}.json"] = partial(_multiply, n, left, right)
+    # The --format human text of every case but the duality reports, in a
+    # .txt file beside its JSON; duality's on its first instance only.
+    for name, case in list(cases.items()):
+        if not name.startswith("duality_"):
+            cases[name.replace(".json", ".txt")] = partial(case, *HUMAN)
+    n, r, s = DUALITY_CASES[0]
+    cases[f"duality_n{n}_r{r}_s{s}.txt"] = partial(_duality_human, n, r, s)
     return cases
 
 
