@@ -13,12 +13,13 @@ failure or a resource limit, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .duality import ResourceLimitError, classical_flip, verify_schur_weyl
 from .laurent import Q, QINV
@@ -115,8 +116,11 @@ def _parse_boundary(text: str) -> tuple[Orientation, ...]:
 def _read_word_argument(args: argparse.Namespace, ty: TangleType) -> TangleWord:
     text = args.word
     if getattr(args, "word_file", None):
-        with open(args.word_file, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.word_file, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as err:
+            raise ValueError(f"cannot read --word-file {args.word_file!r}: {err.strerror}") from None
     return parse_word(text or "", ty)
 
 
@@ -133,11 +137,12 @@ def _parse_q0(text: str) -> Fraction:
 # -- output helpers -----------------------------------------------------------
 
 
-def _emit(args: argparse.Namespace, data: dict, human: str) -> None:
+def _emit(args: argparse.Namespace, data: dict, human: Callable[[], str]) -> None:
+    """Print ``data`` as JSON, or the text ``human()`` builds under ``--format human``."""
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        print(human)
+        print(human())
 
 
 def _connector_json(connector) -> list:
@@ -304,7 +309,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     ty = parse_type(args.type)
     word = _read_word_argument(args, ty)
     element = normalize(word, args.n)
-    _emit(args, element.to_json(), str(element))
+    _emit(args, element.to_json(), lambda: str(element))
     return 0
 
 
@@ -314,7 +319,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     if not isinstance(left, TangleWord) or not isinstance(right, TangleWord):
         raise DslError("multiply needs two tangle words with type headers", 0)
     product = multiply(normalize(left, args.n), normalize(right, args.n))
-    _emit(args, product.to_json(), str(product))
+    _emit(args, product.to_json(), lambda: str(product))
     return 0
 
 
@@ -333,7 +338,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         ty = parse_type(args.type)
         word = _read_word_argument(args, ty)
         matrix = matrix_of_word(word, args.n)
-    _emit(args, matrix.to_json(), render_matrix(matrix))
+    _emit(args, matrix.to_json(), lambda: render_matrix(matrix))
     return 0
 
 
@@ -348,8 +353,7 @@ def _cmd_structure_constants(args: argparse.Namespace) -> int:
         for (c1, c2), element in table.items()
     ]
     data = {"r": args.r, "s": args.s, "n": args.n, "products": products}
-    lines = [f"{c1} * {c2} = {element}" for (c1, c2), element in table.items()]
-    _emit(args, data, "\n".join(lines))
+    _emit(args, data, lambda: "\n".join(f"{c1} * {c2} = {element}" for (c1, c2), element in table.items()))
     return 0
 
 
@@ -357,7 +361,7 @@ def _cmd_hecke_to_walled(args: argparse.Namespace) -> int:
     ty = all_down_type(args.r + args.s)
     word = _read_word_argument(args, ty)
     element = hecke_to_walled(word, args.r, args.s, args.n)
-    _emit(args, element.to_json(), str(element))
+    _emit(args, element.to_json(), lambda: str(element))
     return 0
 
 
@@ -366,31 +370,25 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     word = _read_word_argument(args, ty)
     flipped = classical_flip(connector_of(word), args.r, args.s)
     data = {"type": render_type(flipped.ty), "edges": _connector_json(flipped)}
-    _emit(args, data, str(flipped))
+    _emit(args, data, lambda: str(flipped))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "presentation":
         report = presentation_check(args.r, args.s, args.n)
-        human = "\n".join(
-            f"[{'ok' if res.holds else 'FAIL'}] {res.name}"
-            for res in report.results
-            if res.applicable
-        )
-        _emit(args, report.to_json(), human)
+        marks = (f"[{'ok' if res.holds else 'FAIL'}] {res.name}" for res in report.results if res.applicable)
+        _emit(args, report.to_json(), lambda: "\n".join(marks))
         return 0 if report.all_pass else 1
     if args.suite == "duality":
         report = verify_schur_weyl(args.n, args.r, args.s, _parse_q0(args.q0))
-        human_lines = [
+        _emit(args, report.to_json(), lambda: "\n".join([
             f"duality at n={report.n} r={report.r} s={report.s} q0={report.q0}:",
             f"  image rank {report.image_rank}, commutant dimension {report.commutant_dim}",
             f"  annihilators: walled {report.annihilator_dim}, all-down {report.hecke_annihilator_dim}",
             f"  faithful: {report.faithful}",
-        ]
-        for claim in report.claims:
-            human_lines.append(f"  [{'ok' if claim.holds else 'FAIL'}] {claim.name}: {claim.detail}")
-        _emit(args, report.to_json(), "\n".join(human_lines))
+            *(f"  [{'ok' if claim.holds else 'FAIL'}] {claim.name}: {claim.detail}" for claim in report.claims),
+        ]))
         return 0 if report.all_pass else 1
     if args.suite == "skein":
         data = _run_skein_suite(args.n, args.seed, args.count)
@@ -400,7 +398,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         data = _run_linking_suite(args.n, args.seed, args.count)
     else:
         return _cmd_verify_all(args)
-    _emit(args, data, _human_checks(data))
+    _emit(args, data, lambda: _human_checks(data))
     return 0 if data["allPass"] else 1
 
 
@@ -442,22 +440,25 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         "allPass": all(s["allPass"] for s in suites),
         "suites": suites,
     }
-    human = [f"verify all: {'all pass' if overall['allPass'] else 'FAILED'} (seed {args.seed})"]
-    for suite in suites:
-        title = suite["suite"]
-        params = ", ".join(
-            f"{key}={suite[key]}" for key in ("n", "r", "s", "m", "q0") if key in suite
-        )
-        mark = "ok" if suite["allPass"] else "FAIL"
-        human.append(f"  [{mark}] {title}" + (f" ({params})" if params else ""))
-    _emit(args, overall, "\n".join(human))
+
+    def human() -> str:
+        lines = [f"verify all: {'all pass' if overall['allPass'] else 'FAILED'} (seed {args.seed})"]
+        for suite in suites:
+            params = ", ".join(f"{key}={suite[key]}" for key in ("n", "r", "s", "m", "q0") if key in suite)
+            mark = "ok" if suite["allPass"] else "FAIL"
+            lines.append(f"  [{mark}] {suite['suite']}" + (f" ({params})" if params else ""))
+        return "\n".join(lines)
+
+    _emit(args, overall, human)
     return 0 if overall["allPass"] else 1
 
 
 # -- argument plumbing --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call, never at import, then reused."""
     parser = argparse.ArgumentParser(
         prog="walled-tangles",
         description="Exact computations in the walled tangle algebra and its tensor-space representation.",

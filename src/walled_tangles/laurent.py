@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 #: Exact scalar type used when specializing q to a rational number.
 ExactRational = Fraction

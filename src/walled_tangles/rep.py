@@ -16,7 +16,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Union
 
 from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .skein import TangleElement

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import Union
 
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .tangle import (

@@ -555,6 +555,7 @@ def connector_of(word: TangleWord) -> Connector:
 # -- canonical diagram of a connector ----------------------------------------
 
 
+@functools.cache
 def canonical_basis_word(connector: Connector) -> TangleWord:
     """A canonical crossing-minimal diagram for a connector.
 

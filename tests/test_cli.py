@@ -5,14 +5,17 @@ validation of every JSON output shape."""
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import random_word
 from schema_check import validate
 
-from walled_tangles.cli import main, parse_dsl
+from walled_tangles.cli import _build_parser, main, parse_dsl
 from walled_tangles.duality import ResourceLimitError
 from walled_tangles.qgroup import E, F, K, QH
 from walled_tangles.tangle import (
@@ -25,7 +28,8 @@ from walled_tangles.tangle import (
     render_word,
 )
 
-SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "schemas"
 
 
 def load_schema(name: str) -> dict:
@@ -315,6 +319,72 @@ class TestUsage:
 
     def test_missing_required_option(self, capsys):
         assert run_cli(capsys, "normalize", "--n", "2")[0] == 2
+
+
+#: One command per subcommand that reads ``--word-file``, all arguments but the file.
+WORD_FILE_COMMANDS = (
+    ("normalize", "--n", "2", "--type", "vv|vv"),
+    ("matrix", "--n", "2", "--type", "vv|vv"),
+    ("hecke-to-walled", "--r", "1", "--s", "1", "--n", "2"),
+    ("flip", "--r", "1", "--s", "1"),
+)
+
+
+class TestWordFile:
+    @pytest.mark.parametrize("command", WORD_FILE_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("target", ["missing.txt", "."], ids=["missing", "directory"])
+    def test_unreadable_word_file_is_a_usage_error(self, capsys, tmp_path, command, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *command, "--word-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read --word-file")
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
+#: Valid calls whose output is deterministic, with and without defaults
+#: (``verify hecke`` and the human duality report rely on them).
+VALID_CALLS = (
+    ("normalize", "--n", "2", "--type", "vv|vv", "--word", "X+(1) X+(1)"),
+    ("multiply", "--n", "2", "--left", "v^|v^ : E(1)", "--right", "v^|v^ : E(1)", "--format", "human"),
+    ("verify", "hecke"),
+    ("verify", "duality", "--n", "2", "--r", "1", "--s", "1", "--format", "human"),
+    ("flip", "--r", "2", "--s", "1", "--word", "X+(2)"),
+    ("matrix", "--n", "2", "--generators", "E(1) K(1)", "--boundary", "v^", "--format", "human"),
+)
+
+#: Failing calls and their exit status: a usage error, --help, a DslError, a
+#: resource-limit refusal, and a negative --q0 written as its own argument.
+FAILING_CALLS = (
+    (("normalize", "--n", "2"), 2),
+    (("normalize", "--help"), 0),
+    (("normalize", "--n", "2", "--type", "vv|vv", "--word", "X+(9)"), 2),
+    (("verify", "duality", "--n", "4", "--r", "2", "--s", "2"), 1),
+    (("verify", "duality", "--n", "2", "--r", "1", "--s", "1", "--q0", "-5/3"), 2),
+)
+
+
+class TestParserReuse:
+    def test_failing_calls_leave_the_shared_parser_intact(self, capsys):
+        expected = []
+        for argv in VALID_CALLS:
+            _build_parser.cache_clear()
+            expected.append(run_cli(capsys, *argv))
+            assert expected[-1][0] == 0, argv
+        _build_parser.cache_clear()
+        for k, argv in enumerate(VALID_CALLS):
+            for failing, status in FAILING_CALLS[k:] + FAILING_CALLS[:k]:
+                assert run_cli(capsys, *failing)[0] == status, failing
+                assert run_cli(capsys, *argv) == expected[k], argv
+        assert _build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        probe = "import walled_tangles.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "0\n"
 
 
 class TestParseDsl:

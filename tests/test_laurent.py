@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,16 @@ class TestArithmetic:
     def test_zero_coefficients_dropped(self):
         assert LaurentPoly({2: 0, 1: 3}) == LaurentPoly({1: 3})
         assert LaurentPoly([(1, 2), (1, -2)]) == ZERO
+
+    def test_any_mapping_or_pairs_builds_the_same_poly(self):
+        expected = LaurentPoly({-1: 1, 2: 3})
+        assert LaurentPoly(MappingProxyType({-1: 1, 2: 3})) == expected
+        assert LaurentPoly([(2, 3), (-1, 1)]) == expected
+
+    @pytest.mark.parametrize("terms", [{1.0: 1}, {1: 1.0}, [(0.5, 2)], [(2, Fraction(1, 2))]])
+    def test_non_int_exponent_or_coefficient_rejected(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
 
     def test_structural_equality_and_hash(self):
         a = LaurentPoly({-1: 1, 2: 3})

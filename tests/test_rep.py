@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -57,6 +58,12 @@ class TestOperatorMatrix:
         assert m.entry((1, 2), (1, 2)) == ONE
         assert m.entry((1, 2), (2, 1)) == ZERO
         assert len(m.entries) == 4
+
+    def test_any_mapping_or_pairs_builds_the_same_matrix(self):
+        entries = {((1,), (2,)): Q, ((2,), (2,)): ONE}
+        expected = OperatorMatrix(2, (DOWN,), (DOWN,), entries)
+        assert OperatorMatrix(2, (DOWN,), (DOWN,), MappingProxyType(entries)) == expected
+        assert OperatorMatrix(2, (DOWN,), (DOWN,), list(entries.items())) == expected
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

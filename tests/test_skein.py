@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -171,6 +172,13 @@ class TestElementArithmetic:
     def test_add_collects_terms(self):
         a = identity_element(1, 1, 2)
         assert (a + a).coefficient(a.terms[0][0]) == ONE + ONE
+
+    def test_any_mapping_or_pairs_builds_the_same_element(self):
+        ty = algebra_type(1, 1)
+        terms = {c: quantum_int(k + 1) for k, c in enumerate(enumerate_connectors(ty))}
+        expected = TangleElement(ty, 2, terms)
+        assert TangleElement(ty, 2, MappingProxyType(terms)) == expected
+        assert TangleElement(ty, 2, list(terms.items())) == expected
 
     def test_zero_terms_drop(self):
         a = identity_element(1, 1, 2)
