@@ -67,17 +67,15 @@ from .tangle import (
 _GENERATOR_RE = re.compile(r"(qh|K'|K|E|F)\(([^()]*)\)")
 
 
-def parse_dsl(text: str, ty: Optional[TangleType] = None) -> Union[TangleWord, list[UGenerator]]:
+def parse_dsl(text: str) -> Union[TangleWord, list[UGenerator]]:
     """Parse either a tangle word or a list of quantum-group generators.
 
-    With a boundary type (given explicitly or as a ``TYPE : WORD`` header in
-    the text itself) the text is a slice word.  Without one it is a
-    whitespace-separated list of generator tokens ``E(i)``, ``E(i,l)``,
-    ``F(i)``, ``F(i,l)``, ``K(i)``, ``K'(i)``, or ``qh(a1,...,an)``.
-    Errors carry the character offset where they were detected.
+    With a boundary type (a ``TYPE : WORD`` header in the text) the text is
+    a slice word.  Without one it is a whitespace-separated list of
+    generator tokens ``E(i)``, ``E(i,l)``, ``F(i)``, ``F(i,l)``, ``K(i)``,
+    ``K'(i)``, or ``qh(a1,...,an)``.  Errors carry the character offset
+    where they were detected.
     """
-    if ty is not None:
-        return parse_word(text, ty)
     if "|" in text:
         head, sep, tail = text.partition(":")
         return parse_word(tail if sep else "", parse_type(head.strip()))
@@ -375,6 +373,10 @@ def _cmd_flip(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite in ("skein", "linking", "all") and args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
+    if args.suite == "hecke" and args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.suite == "presentation":
         report = presentation_check(args.r, args.s, args.n)
         marks = (f"[{'ok' if res.holds else 'FAIL'}] {res.name}" for res in report.results if res.applicable)

@@ -52,15 +52,6 @@ class LaurentPoly:
         """
         return cls({exp: coeff})
 
-    @classmethod
-    def const(cls, value: int) -> LaurentPoly:
-        """The constant polynomial.
-
-        >>> LaurentPoly.const(7)
-        LaurentPoly('7*q^0')
-        """
-        return cls({0: value})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -69,19 +60,6 @@ class LaurentPoly:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.terms)
-
-    def coefficient(self, exp: int) -> int:
-        """The coefficient of q^exp.
-
-        >>> (Q + ONE).coefficient(0)
-        1
-        >>> (Q + ONE).coefficient(7)
-        0
-        """
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def is_monomial_unit(self) -> bool:
         """True when the polynomial is exactly one term with coefficient +-1."""

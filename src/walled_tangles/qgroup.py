@@ -44,7 +44,7 @@ import dataclasses
 import itertools
 from typing import Union
 
-from .laurent import ONE, LaurentPoly
+from .laurent import LaurentPoly
 from .rep import OperatorMatrix, label_tuples
 from .tangle import DOWN, UP, Orientation
 
@@ -173,95 +173,3 @@ def gen_on_mixed(gen: UGenerator, boundary, n: int) -> OperatorMatrix:
                     exponent += (l - passed) * signs[t] * alpha[labels[t] - 1]
             entries[(labels, tuple(out))] = LaurentPoly.monomial((-1) ** duals, exponent)
     return OperatorMatrix(n, boundary, boundary, entries)
-
-
-# -- the divided-power compatibility identities -------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class DivPowerReport:
-    i: int
-    l: int
-    left: tuple[Orientation, ...]
-    right: tuple[Orientation, ...]
-    n: int
-    raising_identity_holds: bool
-    lowering_identity_holds: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.raising_identity_holds and self.lowering_identity_holds
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "l": self.l,
-            "left": "".join(o.value for o in self.left),
-            "right": "".join(o.value for o in self.right),
-            "n": self.n,
-            "raisingIdentityHolds": self.raising_identity_holds,
-            "loweringIdentityHolds": self.lowering_identity_holds,
-            "allPass": self.all_pass,
-        }
-
-
-def _sum_terms(terms, left, right, n) -> OperatorMatrix:
-    """Evaluate a list of (coefficient, left word, right word) tensor terms."""
-    total = OperatorMatrix(n, left + right, left + right)
-    for coeff, left_gens, right_gens in terms:
-        term = word_matrix(left_gens, left, n).kron(word_matrix(right_gens, right, n))
-        total = total + term.scaled(coeff)
-    return total
-
-
-def check_divpowers(i: int, l: int, left, right, n: int) -> DivPowerReport:
-    """Verify the two telescoping identities that move a divided power from
-    one tensor leg to the other, as exact operator identities on the tensor
-    space of the two boundaries.
-
-    >>> check_divpowers(1, 1, (DOWN,), (DOWN,), 2).all_pass
-    True
-    """
-    if l < 1:
-        raise ValueError(f"level must be at least 1, got {l}")
-    left = tuple(left)
-    right = tuple(right)
-
-    def sign(k: int) -> int:
-        return -1 if k % 2 else 1
-
-    raising_lhs = []
-    for k in range(l):
-        for j in range(l - k + 1):
-            coeff = LaurentPoly.monomial(sign(k), k * (l - 1) + j * (l - k - j))
-            left_word = (E(i, k), E(i, l - k - j))
-            right_word = (_alpha_weight(i, n, j - l), E(i, j))
-            raising_lhs.append((coeff, left_word, right_word))
-    raising_rhs = [
-        (ONE, (), (E(i, l),)),
-        (LaurentPoly.monomial(-sign(l), l * (l - 1)), (E(i, l),), (_alpha_weight(i, n, -l),)),
-    ]
-
-    lowering_lhs = []
-    for k in range(l):
-        for j in range(l - k + 1):
-            coeff = LaurentPoly.monomial(sign(k), -k * (l - 1) - j * (l - k - j))
-            left_word = (F(i, k), F(i, l - k - j), _alpha_weight(i, n, j))
-            right_word = (F(i, j),)
-            lowering_lhs.append((coeff, left_word, right_word))
-    lowering_rhs = [
-        (ONE, (_alpha_weight(i, n, l),), (F(i, l),)),
-        (LaurentPoly.monomial(-sign(l), -l * (l - 1)), (F(i, l),), ()),
-    ]
-
-    return DivPowerReport(
-        i,
-        l,
-        left,
-        right,
-        n,
-        raising_identity_holds=_sum_terms(raising_lhs, left, right, n)
-        == _sum_terms(raising_rhs, left, right, n),
-        lowering_identity_holds=_sum_terms(lowering_lhs, left, right, n)
-        == _sum_terms(lowering_rhs, left, right, n),
-    )

@@ -31,7 +31,6 @@ from .tangle import (
     Min,
     Orientation,
     Sweep,
-    TangleType,
     TangleWord,
     apply_slice,
     canonical_basis_word,
@@ -132,19 +131,6 @@ class OperatorMatrix:
                 key = (i, k)
                 acc[key] = acc.get(key, ZERO) + u * v
         return OperatorMatrix(self.n, self.row_type, other.col_type, acc)
-
-    def kron(self, other: OperatorMatrix) -> OperatorMatrix:
-        """Tensor product: label tuples concatenate."""
-        if self.n != other.n:
-            raise ValueError("matrices live over different label counts")
-        acc = {}
-        for (i1, j1), u in self.entries.items():
-            for (i2, j2), v in other.entries.items():
-                acc[(i1 + i2, j1 + j2)] = u * v
-        return OperatorMatrix(self.n, self.row_type + other.row_type, self.col_type + other.col_type, acc)
-
-    def commutator(self, other: OperatorMatrix) -> OperatorMatrix:
-        return self.matmul(other) - other.matmul(self)
 
     def evaluate(self, q0: ExactRational) -> tuple[dict[tuple[MultiIndex, MultiIndex], int], int]:
         """The matrix at q = q0 = a/b as integers over one denominator: the
@@ -406,24 +392,6 @@ def _descending_deposit(
 
 
 # -- distinguished operators --------------------------------------------------
-
-
-def psi_matrix(n: int) -> OperatorMatrix:
-    """The invertible operator that moves a dual factor past an ordinary one;
-    it is the matrix of the two-point crossing whose left strand comes from
-    below and runs under."""
-    return matrix_of_word(TangleWord(TangleType((UP, DOWN), (DOWN, UP)), [Cross(1, Hand.FIRST_UNDER)]), n)
-
-
-def psi_prime_matrix(n: int) -> OperatorMatrix:
-    """Row rescaling of :func:`psi_matrix` by q^(n + 1 - 2i) in the first
-    row label i; also invertible, with entries in the image of the wall
-    weights."""
-    base = psi_matrix(n)
-    entries = {
-        (r, c): v * LaurentPoly.monomial(1, n + 1 - 2 * r[0]) for (r, c), v in base.entries.items()
-    }
-    return OperatorMatrix(n, base.row_type, base.col_type, entries)
 
 
 def hecke_action_matrix(m: int, k: int, n: int) -> OperatorMatrix:

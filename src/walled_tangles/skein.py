@@ -87,12 +87,6 @@ class TangleElement:
         self.n = n
         self.terms = tuple(sorted(((c, k) for c, k in acc.items() if not k.is_zero()), key=lambda t: t[0].edges))
 
-    def coefficient(self, connector: Connector) -> LaurentPoly:
-        for c, k in self.terms:
-            if c == connector:
-                return k
-        return ZERO
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -304,23 +298,6 @@ def structure_constants(r: int, s: int, n: int) -> dict:
         for c1 in basis
         for c2 in basis
     }
-
-
-# -- named small diagrams -----------------------------------------------------
-
-
-def turnback_word(top_pair: tuple, bottom_pair: tuple) -> TangleWord:
-    """The two-point diagram where both strands turn back: a valley closing
-    the top pair over a peak opening the bottom pair."""
-    for pair in (top_pair, bottom_pair):
-        if pair[0] is pair[1]:
-            raise ValueError("turnback needs opposite orientations on each pair")
-    return TangleWord(TangleType(top_pair, bottom_pair), [Min(1), Max(1, PEAK_SWEEP[bottom_pair])])
-
-
-def crossing_word(top_pair: tuple, hand: Hand) -> TangleWord:
-    """The two-point diagram with a single crossing."""
-    return TangleWord(TangleType(top_pair, (top_pair[1], top_pair[0])), [Cross(1, hand)])
 
 
 # -- presentation of the walled algebra by generators -------------------------

@@ -366,14 +366,6 @@ class CrossingInfo:
     component_b: int
     time_b: int
 
-    @property
-    def over_component(self) -> int:
-        return self.component_a if self.hand is Hand.FIRST_OVER else self.component_b
-
-    @property
-    def under_component(self) -> int:
-        return self.component_b if self.hand is Hand.FIRST_OVER else self.component_a
-
     def is_self_crossing(self) -> bool:
         return self.component_a == self.component_b
 

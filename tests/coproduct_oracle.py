@@ -6,15 +6,27 @@ vanish), on the dual space through the antipode and a transpose, and on a
 tensor product through the comultiplication, applied recursively after
 splitting the factors in half.  It never enumerates subsets of factors, so
 it is independent of ``qgroup.gen_on_mixed``, which the tests compare
-against it.
+against it.  The divided-power transfer identities (``check_divpowers``)
+are checked here too, on the closed-form action.
 """
 
 from __future__ import annotations
 
 from walled_tangles.laurent import ONE, LaurentPoly, ZERO
-from walled_tangles.qgroup import E, F, K, QH, UGenerator, _alpha_weight, _validate
+from walled_tangles.qgroup import E, F, K, QH, UGenerator, _alpha_weight, _validate, word_matrix
 from walled_tangles.rep import OperatorMatrix
 from walled_tangles.tangle import DOWN, UP, Orientation
+
+
+def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """Tensor product: label tuples concatenate."""
+    if a.n != b.n:
+        raise ValueError("matrices live over different label counts")
+    acc = {}
+    for (i1, j1), u in a.entries.items():
+        for (i2, j2), v in b.entries.items():
+            acc[(i1 + i2, j1 + j2)] = u * v
+    return OperatorMatrix(a.n, a.row_type + b.row_type, a.col_type + b.col_type, acc)
 
 
 def gen_on_V(gen: UGenerator, n: int) -> OperatorMatrix:
@@ -115,7 +127,7 @@ def _split_action(
 ) -> OperatorMatrix:
     """Comultiply one generator across an explicit two-part split."""
     if isinstance(gen, (K, QH)):
-        return gen_on_mixed(gen, left, n).kron(gen_on_mixed(gen, right, n))
+        return kron(gen_on_mixed(gen, left, n), gen_on_mixed(gen, right, n))
     i, l = gen.i, gen.l
     total = OperatorMatrix(n, left + right, left + right)
     for k in range(l + 1):
@@ -127,5 +139,60 @@ def _split_action(
             coeff = LaurentPoly.monomial(1, -k * (l - k))
             left_mat = _word_matrix((F(i, l - k), _alpha_weight(i, n, k)), left, n)
             right_mat = _word_matrix((F(i, k),), right, n)
-        total = total + left_mat.kron(right_mat).scaled(coeff)
+        total = total + kron(left_mat, right_mat).scaled(coeff)
     return total
+
+
+def check_divpowers(i: int, l: int, left, right, n: int) -> tuple[bool, bool]:
+    """Verify the two telescoping identities that move a divided power from
+    one tensor leg to the other, as exact operator identities of the
+    closed-form action on the tensor space of the two boundaries.  Returns
+    whether the raising and the lowering identity hold.
+
+    >>> check_divpowers(1, 1, (DOWN,), (DOWN,), 2)
+    (True, True)
+    """
+    if l < 1:
+        raise ValueError(f"level must be at least 1, got {l}")
+    left = tuple(left)
+    right = tuple(right)
+
+    def sign(k: int) -> int:
+        return -1 if k % 2 else 1
+
+    def evaluate(terms) -> OperatorMatrix:
+        """Sum (coefficient, left word, right word) tensor terms."""
+        total = OperatorMatrix(n, left + right, left + right)
+        for coeff, left_gens, right_gens in terms:
+            term = kron(word_matrix(left_gens, left, n), word_matrix(right_gens, right, n))
+            total = total + term.scaled(coeff)
+        return total
+
+    raising_lhs = []
+    for k in range(l):
+        for j in range(l - k + 1):
+            coeff = LaurentPoly.monomial(sign(k), k * (l - 1) + j * (l - k - j))
+            left_word = (E(i, k), E(i, l - k - j))
+            right_word = (_alpha_weight(i, n, j - l), E(i, j))
+            raising_lhs.append((coeff, left_word, right_word))
+    raising_rhs = [
+        (ONE, (), (E(i, l),)),
+        (LaurentPoly.monomial(-sign(l), l * (l - 1)), (E(i, l),), (_alpha_weight(i, n, -l),)),
+    ]
+
+    lowering_lhs = []
+    for k in range(l):
+        for j in range(l - k + 1):
+            coeff = LaurentPoly.monomial(sign(k), -k * (l - 1) - j * (l - k - j))
+            left_word = (F(i, k), F(i, l - k - j), _alpha_weight(i, n, j))
+            right_word = (F(i, j),)
+            lowering_lhs.append((coeff, left_word, right_word))
+    lowering_rhs = [
+        (ONE, (_alpha_weight(i, n, l),), (F(i, l),)),
+        (LaurentPoly.monomial(-sign(l), -l * (l - 1)), (F(i, l),), ()),
+    ]
+
+    return (
+        evaluate(raising_lhs) == evaluate(raising_rhs),
+        evaluate(lowering_lhs) == evaluate(lowering_rhs),
+    )

@@ -27,7 +27,7 @@ from walled_tangles.rep import (
     label_tuples,
 )
 from walled_tangles.skein import TangleElement, _descend, _descending_value
-from walled_tangles.tangle import Connector, TangleWord, canonical_basis_word, start_vertices, strand_graph
+from walled_tangles.tangle import Connector, Hand, TangleWord, canonical_basis_word, start_vertices, strand_graph
 
 
 def normalize_by_descent(word: TangleWord, n: int) -> TangleElement:
@@ -106,7 +106,9 @@ def procedure_value(word: TangleWord, row: MultiIndex, col: MultiIndex, n: int) 
     value = ONE
     ties: dict[int, set[int]] = {}
     for x in g.crossings:
-        over, under = x.over_component, x.under_component
+        over, under = x.component_a, x.component_b
+        if x.hand is Hand.FIRST_UNDER:
+            over, under = under, over
         if labels[over] > labels[under]:
             raise ValueError("not descending: a larger label passes over a smaller one")
         if labels[over] == labels[under]:

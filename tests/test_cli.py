@@ -297,6 +297,24 @@ class TestVerify:
             "braidRelation",
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("skein", "--count", "-1"),
+            ("linking", "--count", "-1"),
+            ("all", "--count", "-1"),
+            ("hecke", "--m", "-3"),
+            ("hecke", "--m", "0"),
+        ],
+        ids=["skein", "linking", "all", "hecke", "hecke-zero"],
+    )
+    def test_out_of_range_count_or_m_is_a_usage_error(self, capsys, argv):
+        # The report schemas require count >= 0 and m >= 1.
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and argv[1] in err
+
     def test_verify_all_is_deterministic(self, capsys):
         first_code, first_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")
         second_code, second_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")

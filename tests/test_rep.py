@@ -6,6 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
+import coproduct_oracle
 from conftest import random_word
 from dense_commutant import divided_power_sweep
 from descent_oracle import matrix_by_descent, procedure_value
@@ -19,12 +20,10 @@ from walled_tangles.rep import (
     matrix_of_connector,
     matrix_of_element,
     matrix_of_word,
-    psi_matrix,
-    psi_prime_matrix,
     render_matrix,
     slice_matrix,
 )
-from walled_tangles.skein import normalize, turnback_word
+from walled_tangles.skein import normalize
 from walled_tangles.tangle import (
     DOWN,
     UP,
@@ -32,6 +31,7 @@ from walled_tangles.tangle import (
     Hand,
     Max,
     Min,
+    PEAK_SWEEP,
     Sweep,
     TangleType,
     TangleWord,
@@ -50,6 +50,9 @@ DU, UD = (DOWN, UP), (UP, DOWN)
 
 WORKED_TYPE = TangleType((DOWN, UP, UP), (UP, DOWN, UP))
 WORKED_WORD = TangleWord(WORKED_TYPE, [Cross(2, FO), Cross(1, FO)])
+
+#: The crossing X-(1) on ^v|v^: it moves a dual factor past an ordinary one.
+PSI_WORD = TangleWord(TangleType(UD, DU), [Cross(1, FU)])
 
 
 class TestOperatorMatrix:
@@ -76,7 +79,7 @@ class TestOperatorMatrix:
             a.matmul(b)
 
     def test_matmul_identity_neutral(self):
-        m = psi_matrix(2)
+        m = matrix_of_word(PSI_WORD, 2)
         left = OperatorMatrix.identity(2, m.row_type)
         right = OperatorMatrix.identity(2, m.col_type)
         assert left.matmul(m) == m
@@ -85,7 +88,7 @@ class TestOperatorMatrix:
     def test_kron_concatenates_labels(self):
         a = OperatorMatrix(2, (DOWN,), (DOWN,), {((1,), (2,)): Q})
         b = OperatorMatrix(2, (UP,), (UP,), {((2,), (2,)): QINV})
-        prod = a.kron(b)
+        prod = coproduct_oracle.kron(a, b)
         assert prod.row_type == (DOWN, UP)
         assert prod.entry((1, 2), (2, 2)) == ONE
 
@@ -96,7 +99,7 @@ class TestOperatorMatrix:
         assert m2.evaluate(Fraction(5, 3)) == ({((1,), (2,)): 5}, 3)
 
     def test_json_round_shape(self):
-        data = psi_matrix(2).to_json()
+        data = matrix_of_word(PSI_WORD, 2).to_json()
         assert data["rows"] == "^v"
         assert data["cols"] == "v^"
         assert all({"row", "col", "coeff"} <= set(e) for e in data["entries"])
@@ -152,7 +155,7 @@ class TestSliceMatrices:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_turnback_matrix_entries(self, n):
-        m = matrix_of_word(turnback_word(DU, UD), n)
+        m = matrix_of_word(TangleWord(TangleType(DU, UD), [Min(1), Max(1, PEAK_SWEEP[UD])]), n)
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 expected = LaurentPoly.monomial(1, 2 * (i - k))
@@ -161,8 +164,8 @@ class TestSliceMatrices:
 
     def test_stacked_turnbacks_scale_by_loop_value(self):
         n = 3
-        upper = turnback_word(DU, UD)
-        lower = turnback_word(UD, UD)
+        upper = TangleWord(TangleType(DU, UD), [Min(1), Max(1, PEAK_SWEEP[UD])])
+        lower = TangleWord(TangleType(UD, UD), [Min(1), Max(1, PEAK_SWEEP[UD])])
         m = matrix_of_word(stack(upper, lower), n)
         assert m == matrix_of_word(upper, n).scaled(quantum_int(n))
 
@@ -225,7 +228,7 @@ class TestHeckeAction:
 
 class TestPsi:
     def test_frozen_entries(self):
-        m = psi_matrix(3)
+        m = matrix_of_word(PSI_WORD, 3)
         assert m.entry((1, 2), (2, 1)) == ONE
         assert m.entry((2, 2), (2, 2)) == QINV
         assert m.entry((3, 3), (1, 1)) == QINV - Q
@@ -233,7 +236,7 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_swap_entries_off_diagonal(self, n):
-        m = psi_matrix(n)
+        m = matrix_of_word(PSI_WORD, n)
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 if i != k:
@@ -241,24 +244,26 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_prime_variant_rescales_rows(self, n):
-        plain, primed = psi_matrix(n), psi_prime_matrix(n)
+        plain = matrix_of_word(PSI_WORD, n)
+        weights = {(idx, idx): LaurentPoly.monomial(1, n + 1 - 2 * idx[0]) for idx in label_tuples(n, 2)}
+        primed = OperatorMatrix(n, UD, UD, weights).matmul(plain)
         for (row, col), v in plain.entries.items():
             assert primed.entry(row, col) == v * LaurentPoly.monomial(1, n + 1 - 2 * row[0])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_invertible(self, n):
         back = matrix_of_word(TangleWord(TangleType(DU, UD), [Cross(1, FO)]), n)
-        assert psi_matrix(n).matmul(back) == OperatorMatrix.identity(n, UD)
-        assert back.matmul(psi_matrix(n)) == OperatorMatrix.identity(n, DU)
+        psi = matrix_of_word(PSI_WORD, n)
+        assert psi.matmul(back) == OperatorMatrix.identity(n, UD)
+        assert back.matmul(psi) == OperatorMatrix.identity(n, DU)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_embeds_at_inner_position(self, n):
         ty = TangleType((DOWN, UP, DOWN), (DOWN, DOWN, UP))
         word = TangleWord(ty, [Cross(2, FU)])
-        expected = (
-            OperatorMatrix.identity(n, (DOWN,))
-            .kron(psi_matrix(n))
-            .kron(OperatorMatrix.identity(n, ()))
+        expected = coproduct_oracle.kron(
+            coproduct_oracle.kron(OperatorMatrix.identity(n, (DOWN,)), matrix_of_word(PSI_WORD, n)),
+            OperatorMatrix.identity(n, ()),
         )
         assert matrix_of_word(word, n) == expected
 
@@ -340,8 +345,12 @@ class TestConnectorMatrices:
     def test_turnback_connector_entries(self, n):
         from walled_tangles.tangle import connector_of
 
-        both_arcs_rightward = matrix_of_connector(connector_of(turnback_word(DU, UD)), n)
-        top_arc_only = matrix_of_connector(connector_of(turnback_word(DU, DU)), n)
+        both_arcs_rightward = matrix_of_connector(
+            connector_of(TangleWord(TangleType(DU, UD), [Min(1), Max(1, PEAK_SWEEP[UD])])), n
+        )
+        top_arc_only = matrix_of_connector(
+            connector_of(TangleWord(TangleType(DU, DU), [Min(1), Max(1, PEAK_SWEEP[DU])])), n
+        )
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert both_arcs_rightward.entry((i, i), (j, j)) == (
@@ -353,7 +362,7 @@ class TestConnectorMatrices:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_turnback_squares_to_loop_value_at_matrix_level(self, n):
-        m = matrix_of_word(turnback_word(DU, DU), n)
+        m = matrix_of_word(TangleWord(TangleType(DU, DU), [Min(1), Max(1, PEAK_SWEEP[DU])]), n)
         assert m.matmul(m) == m.scaled(quantum_int(n))
 
     @pytest.mark.parametrize("n", [2, 3])
