@@ -19,6 +19,8 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import factorial
 from typing import Callable, Optional, Sequence, Union
 
 from .duality import ResourceLimitError, classical_flip, verify_schur_weyl
@@ -51,6 +53,7 @@ from .tangle import (
     Sweep,
     TangleType,
     TangleWord,
+    algebra_type,
     all_down_type,
     apply_slice,
     canonical_basis_word,
@@ -59,7 +62,6 @@ from .tangle import (
     parse_word,
     render_type,
     stack,
-    vertex_name,
 )
 
 # -- input parsing ------------------------------------------------------------
@@ -135,16 +137,65 @@ def _parse_q0(text: str) -> Fraction:
 # -- output helpers -----------------------------------------------------------
 
 
+def _json_text(data) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, for data whose dict
+    keys are strings.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, one generator
+    per container.  This walks the data once into one list of strings, with
+    strings escaped by json's C ``encode_basestring_ascii``, and a tuple met
+    again at the same depth in the call (a connector's ``edge_names``, say)
+    reuses its text.
+    """
+    parts: list[str] = []
+    seen: dict[tuple[int, int], str] = {}
+
+    def put(value, depth: int) -> None:
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is None or value is True or value is False:
+            parts.append("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, float):
+            parts.append(json.dumps(value))
+        elif isinstance(value, tuple) and (id(value), depth) in seen:
+            parts.append(seen[id(value), depth])
+        elif not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        elif not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            start, inner = len(parts), "\n" + "  " * (depth + 1)
+            if isinstance(value, dict):
+                parts.append("{")
+                for key, item in value.items():
+                    parts.append(inner + encode_basestring_ascii(key) + ": ")
+                    put(item, depth + 1)
+                    parts.append(",")
+                close = "}"
+            else:
+                parts.append("[")
+                for item in value:
+                    parts.append(inner)
+                    put(item, depth + 1)
+                    parts.append(",")
+                close = "]"
+            parts[-1] = "\n" + "  " * depth + close
+            if isinstance(value, tuple):
+                text = seen[id(value), depth] = "".join(parts[start:])
+                parts[start:] = [text]
+
+    put(data, 0)
+    return "".join(parts)
+
+
 def _emit(args: argparse.Namespace, data: dict, human: Callable[[], str]) -> None:
-    """Print ``data`` as JSON, or the text ``human()`` builds under ``--format human``."""
+    """Print ``data`` as indent-2 JSON, or the text ``human()`` builds under ``--format human``."""
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        print(_json_text(data))
     else:
         print(human())
-
-
-def _connector_json(connector) -> list:
-    return [[vertex_name(a), vertex_name(b)] for a, b in connector.edges]
 
 
 # -- seeded word sampling for the property suites -----------------------------
@@ -340,12 +391,24 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Most products a ``structure-constants`` table may hold: the ((r+s)!)^2
+#: of r + s = 5.  At r + s = 6 the table has 518 400 products and about
+#: 1 GB of JSON.
+TABLE_BUDGET = 14_400
+
+
 def _cmd_structure_constants(args: argparse.Namespace) -> int:
+    ty = algebra_type(args.r, args.s)  # rejects negative strand counts
+    count = factorial(len(ty.top)) ** 2
+    if count > TABLE_BUDGET:
+        raise ResourceLimitError(
+            f"the table at r + s = {len(ty.top)} has {count} products, over the budget of {TABLE_BUDGET}"
+        )
     table = structure_constants(args.r, args.s, args.n)
     products = [
         {
-            "left": _connector_json(c1),
-            "right": _connector_json(c2),
+            "left": c1.edge_names,
+            "right": c2.edge_names,
             "element": element.to_json(),
         }
         for (c1, c2), element in table.items()
@@ -367,7 +430,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     ty = all_down_type(args.r + args.s)
     word = _read_word_argument(args, ty)
     flipped = classical_flip(connector_of(word), args.r, args.s)
-    data = {"type": render_type(flipped.ty), "edges": _connector_json(flipped)}
+    data = {"type": render_type(flipped.ty), "edges": flipped.edge_names}
     _emit(args, data, lambda: str(flipped))
     return 0
 

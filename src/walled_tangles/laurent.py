@@ -78,12 +78,12 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return _trusted(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly([(e, -c) for e, c in self.terms])
+        return _trusted({e: -c for e, c in self.terms})
 
     def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         other = _coerce(other)
@@ -112,7 +112,7 @@ class LaurentPoly:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return _trusted(acc)
 
     __rmul__ = __mul__
 
@@ -179,6 +179,15 @@ class LaurentPoly:
         LaurentPoly('-1*q^-1 + 1*q^3')
         """
         return cls({int(e): int(c) for e, c in data.items()})
+
+
+def _trusted(acc: dict[int, int]) -> LaurentPoly:
+    """The polynomial of an exponent -> coefficient dict whose entries are
+    ints by construction, as sums and products of the terms of validated
+    polynomials are: drops the zeros and sorts, without ``__init__``'s checks."""
+    poly = object.__new__(LaurentPoly)
+    poly.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
+    return poly
 
 
 def _coerce(value: Union[LaurentPoly, int]) -> LaurentPoly:

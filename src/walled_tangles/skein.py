@@ -52,11 +52,11 @@ from .tangle import (
     apply_slice,
     canonical_basis_word,
     connector_of,
+    enumerate_connectors,
     render_type,
     shifted_slices,
     start_vertices,
     strand_graph,
-    vertex_name,
 )
 
 
@@ -117,7 +117,7 @@ class TangleElement:
             return "0"
         parts = []
         for c, k in self.terms:
-            pairs = ",".join(f"{vertex_name(a)}-{vertex_name(b)}" for a, b in c.edges)
+            pairs = ",".join(f"{a}-{b}" for a, b in c.edge_names)
             parts.append(f"({k}) {{{pairs}}}")
         return " + ".join(parts)
 
@@ -127,7 +127,7 @@ class TangleElement:
             "n": self.n,
             "terms": [
                 {
-                    "connector": [[vertex_name(a), vertex_name(b)] for a, b in c.edges],
+                    "connector": c.edge_names,
                     "coeff": k.to_json(),
                 }
                 for c, k in self.terms
@@ -289,15 +289,34 @@ def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
 
 
 def structure_constants(r: int, s: int, n: int) -> dict:
-    """All pairwise products of basis connectors of the walled type."""
-    from .tangle import enumerate_connectors
+    """All pairwise products of basis connectors of the walled type, keyed
+    (first, second) with both running in basis order.
 
-    basis = enumerate_connectors(algebra_type(r, s))
-    return {
-        (c1, c2): _connector_product(c1, c2, n)
-        for c1 in basis
-        for c2 in basis
-    }
+    Each first connector is folded down the trie of the second factors'
+    canonical words, depth first, so a prefix that several words share is
+    folded once per first connector instead of once per pair.  Every entry
+    equals ``_connector_product`` of its pair, since a fold acts one slice
+    at a time.
+    """
+    ty = algebra_type(r, s)
+    basis = enumerate_connectors(ty)
+    # A trie node is (the connectors whose word ends there, {slice: child}).
+    root: tuple[list, dict] = ([], {})
+    for c2 in basis:
+        node = root
+        for step in canonical_basis_word(c2).slices:
+            node = node[1].setdefault(step, ([], {}))
+        node[0].append(c2)
+    table = {}
+    for c1 in basis:
+        folded = {}
+        todo = [(root, {c1: ONE})]
+        while todo:
+            (ends, children), terms = todo.pop()
+            folded.update((c2, terms) for c2 in ends)
+            todo.extend((child, _fold(terms, (step,), n)) for step, child in children.items())
+        table.update(((c1, c2), TangleElement(ty, n, folded[c2])) for c2 in basis)
+    return table
 
 
 # -- presentation of the walled algebra by generators -------------------------

@@ -314,8 +314,14 @@ class Connector:
         """True when every strand joins the top edge to the bottom edge."""
         return all(s[0] != e[0] for s, e in self.edges)
 
+    @functools.cached_property
+    def edge_names(self) -> tuple[tuple[str, str], ...]:
+        """The edges as (start, end) vertex-name pairs, the connector's JSON
+        form; built on first use and kept on the instance."""
+        return tuple((vertex_name(s), vertex_name(e)) for s, e in self.edges)
+
     def __str__(self) -> str:
-        pairs = ",".join(f"{vertex_name(s)}-{vertex_name(e)}" for s, e in self.edges)
+        pairs = ",".join(f"{s}-{e}" for s, e in self.edge_names)
         return f"{render_type(self.ty)} : {pairs}"
 
 

@@ -13,9 +13,11 @@ import sys
 
 import pytest
 from conftest import random_word
+from hypothesis import given, settings, strategies as st
 from schema_check import validate
 
-from walled_tangles.cli import _build_parser, main, parse_dsl
+from walled_tangles import cli
+from walled_tangles.cli import _build_parser, _json_text, main, parse_dsl
 from walled_tangles.duality import ResourceLimitError
 from walled_tangles.qgroup import E, F, K, QH
 from walled_tangles.tangle import (
@@ -194,6 +196,64 @@ class TestStructureConstants:
         turnback = (("T1", "T2"), ("B2", "B1"))
         square = by_pair[(turnback, turnback)]
         assert coeffs_by_connector(square) == {turnback: {"-1": "1", "1": "1"}}
+
+    def test_oversized_table_fails_before_any_work(self, capsys, monkeypatch):
+        def blow_up(*args, **kwargs):
+            raise AssertionError("the table was computed")
+
+        monkeypatch.setattr("walled_tangles.cli.structure_constants", blow_up)
+        code, out, err = run_cli(capsys, "structure-constants", "--r", "3", "--s", "3", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("resource limit: ") and "518400 products" in err
+        assert "Traceback" not in err
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a') | st.characters(), max_size=8)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """The CLI's emitter writes what ``json.dumps(data, indent=2)`` writes."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, data):
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    @given(st.lists(JSON_VALUES, max_size=3).map(tuple), JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_shared_tuple_at_two_depths(self, shared, other):
+        data = {"a": shared, "b": [shared, {"c": (shared, other)}], "d": [other, shared]}
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("data", [{}, [], (), {"a": {}, "b": [[], ()]}, [float("nan"), float("-inf"), 1e300]])
+    def test_empty_containers_and_special_floats(self, data):
+        assert _json_text(data) == json.dumps(data, indent=2)
+
+    def test_verify_all_payload(self, capsys, monkeypatch):
+        payloads = []
+
+        def recording(data):
+            payloads.append((data, _json_text(data)))
+            return payloads[-1][1]
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "7")
+        assert code == 0 and len(payloads) == 1
+        data, text = payloads[0]
+        assert text == json.dumps(data, indent=2)
+        assert out == text + "\n"
 
 
 class TestVerify:

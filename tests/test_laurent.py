@@ -87,6 +87,26 @@ class TestArithmetic:
         assert a * ONE == a
         assert a + (-a) == ZERO
 
+    @given(small_polys, small_polys)
+    def test_results_match_the_validating_constructor(self, a, b):
+        def summed(*pairs):
+            acc = {}
+            for e, c in pairs:
+                acc[e] = acc.get(e, 0) + c
+            return acc
+
+        products = [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+        cases = [
+            (a + b, summed(*a.terms, *b.terms)),
+            (a - b, summed(*a.terms, *((e, -c) for e, c in b.terms))),
+            (a * b, summed(*products)),
+            (-a, summed(*((e, -c) for e, c in a.terms))),
+        ]
+        for result, sums in cases:
+            assert result == LaurentPoly(sums)
+            assert list(result.terms) == sorted(result.terms)
+            assert all(type(e) is int and type(c) is int and c != 0 for e, c in result.terms)
+
     @given(small_polys, small_polys, rationals)
     def test_eval_is_a_ring_map(self, a, b, q0):
         assert at(a + b, q0) == at(a, q0) + at(b, q0)

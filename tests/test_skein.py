@@ -10,6 +10,7 @@ from descent_oracle import normalize_by_descent
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from walled_tangles.skein import (
     TangleElement,
+    _connector_product,
     _descend,
     bend_first,
     bend_element,
@@ -275,6 +276,19 @@ class TestAlgebraStructure:
         assert len(table) == len(connectors) ** 2
         for (c1, c2), el in table.items():
             assert el == multiply(element_of_connector(c1, n), element_of_connector(c2, n))
+
+    @pytest.mark.parametrize(
+        "r,s,n",
+        [(r, s, n) for r, s in [(0, 0), (1, 0), (0, 1), (3, 0), (0, 3), (1, 1), (2, 1), (1, 2), (2, 2)] for n in (1, 2, 3)]
+        + [(3, 2, 2)],
+    )
+    def test_trie_fold_matches_pairwise_products(self, r, s, n):
+        # The identity's canonical word is empty, so it ends at the trie root.
+        basis = enumerate_connectors(algebra_type(r, s))
+        table = structure_constants(r, s, n)
+        expected = {(a, b): _connector_product(a, b, n) for a in basis for b in basis}
+        assert list(table) == list(expected)
+        assert table == expected
 
     def test_multiplication_matches_stacking(self):
         rng = random.Random(7919)
