@@ -16,7 +16,7 @@ from conftest import random_word
 from hypothesis import given, settings, strategies as st
 from schema_check import validate
 
-from walled_tangles import cli
+from walled_tangles import cli, skein
 from walled_tangles.cli import _build_parser, _json_text, main, parse_dsl
 from walled_tangles.duality import ResourceLimitError
 from walled_tangles.qgroup import E, F, K, QH
@@ -356,6 +356,35 @@ class TestVerify:
             "quadraticRelation",
             "braidRelation",
         ]
+
+    def test_broken_relation_is_reported_by_name(self, capsys, monkeypatch):
+        # A doubled identity breaks the right-hand side of the quadratic
+        # relations only; the generators and products are untouched.
+        exact = skein.identity_element
+        monkeypatch.setattr(skein, "identity_element", lambda r, s, n: exact(r, s, n).scaled(2))
+        code, out, _ = run_cli(capsys, "verify", "presentation", "--r", "2", "--s", "2", "--n", "2")
+        data = json.loads(out)
+        assert code == 1
+        assert data["allPass"] is False
+        failed = [rel["name"] for rel in data["relations"] if not rel["holds"]]
+        assert failed == ["down quadratic relation", "up quadratic relation"]
+        assert all(rel["applicable"] for rel in data["relations"] if not rel["holds"])
+
+    def test_broken_hecke_action_is_reported_by_name(self, capsys, monkeypatch):
+        # A doubled action no longer equals the crossing-word matrix and
+        # breaks the quadratic relation; the braid relation, cubic on both
+        # sides, still holds.
+        exact = cli.hecke_action_matrix
+        monkeypatch.setattr(cli, "hecke_action_matrix", lambda m, k, n: exact(m, k, n).scaled(2))
+        code, out, _ = run_cli(capsys, "verify", "hecke", "--n", "2", "--m", "3")
+        data = json.loads(out)
+        assert code == 1
+        assert data["allPass"] is False
+        assert {c["name"]: c["holds"] for c in data["checks"]} == {
+            "actionCoincidesWithCrossings": False,
+            "quadraticRelation": False,
+            "braidRelation": True,
+        }
 
     @pytest.mark.parametrize(
         "argv",

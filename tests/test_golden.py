@@ -10,7 +10,10 @@ integer point and the coarser weight classes of the classical points; the
 product); the ``matrix --type/--word`` JSON of four seeded words, the first
 with a closed loop; the ``structure-constants`` table of B_{2,1}^2; and the
 ``normalize`` and ``multiply`` JSON of thirteen seeded words; and the
-``hecke-to-walled`` and ``flip`` JSON of two words each.  Most of the
+``hecke-to-walled`` and ``flip`` JSON of two words each; the ``verify
+presentation`` reports of five walled algebras, with no up strands, with no
+down strands, and three with both, at n = 1, 2 and 3; and the ``verify
+hecke`` reports at (n, m) = (2, 4) and (3, 3).  Most of the
 normalized and multiplied words have closed loops crossed by open strands,
 so the files pin how loops are found and numbered as well as the normal
 forms.  Each of these commands, except the duality reports, also has its
@@ -66,6 +69,15 @@ HECKE_CASES = ((2, 2, 2, "X+(2)"), (3, 1, 2, "X-(1) X+(2)"))
 
 #: (r, s, WORD) for ``flip``: permutation words on r + s down strands.
 FLIP_CASES = ((2, 1, "X+(2)"), (2, 2, "X+(2) X-(1) X+(3)"))
+
+#: (r, s, n) for ``verify presentation``: the first two have one family of
+#: crossings only, with a pair at distance two; the last three have both
+#: near-wall crossings, so the mixed wall relations apply, and (3, 2, 3) and
+#: (2, 3, 1) also have crossings far from the wall.
+PRESENTATION_CASES = ((0, 4, 2), (4, 0, 1), (2, 2, 2), (3, 2, 3), (2, 3, 1))
+
+#: (n, m) for ``verify hecke``.
+HECKE_SUITE_CASES = ((2, 4), (3, 3))
 
 HUMAN = ("--format", "human")
 
@@ -150,6 +162,14 @@ def _flip(r: int, s: int, word: str, *extra: str) -> str:
     return _stdout_of(["flip", "--r", str(r), "--s", str(s), "--word", word, *extra])
 
 
+def _presentation(r: int, s: int, n: int, *extra: str) -> str:
+    return _stdout_of(["verify", "presentation", "--r", str(r), "--s", str(s), "--n", str(n), *extra])
+
+
+def _hecke_suite(n: int, m: int, *extra: str) -> str:
+    return _stdout_of(["verify", "hecke", "--n", str(n), "--m", str(m), *extra])
+
+
 def _cases() -> dict:
     cases = {"verify_all_seed7.json": _verify_all}
     for n, r, s in DUALITY_CASES:
@@ -172,6 +192,10 @@ def _cases() -> dict:
         cases[f"normalize_{k:02d}_n{n}.json"] = partial(_normalize, n, text)
     for k, (n, left, right) in enumerate(MULTIPLY_CASES, 1):
         cases[f"multiply_{k:02d}_n{n}.json"] = partial(_multiply, n, left, right)
+    for r, s, n in PRESENTATION_CASES:
+        cases[f"presentation_r{r}_s{s}_n{n}.json"] = partial(_presentation, r, s, n)
+    for n, m in HECKE_SUITE_CASES:
+        cases[f"hecke_suite_n{n}_m{m}.json"] = partial(_hecke_suite, n, m)
     # The --format human text of every case but the duality reports, in a
     # .txt file beside its JSON; duality's on its first instance only.
     for name, case in list(cases.items()):
