@@ -262,91 +262,72 @@ def _human_checks(data: dict) -> str:
     return "\n".join(lines)
 
 
+def _check(name: str, pairs: list, detail: str) -> dict:
+    """A check that holds when every (lhs, rhs) pair is equal.  ``{equal}``
+    and ``{total}`` in ``detail`` become the numbers of equal and of all pairs."""
+    equal = sum(lhs == rhs for lhs, rhs in pairs)
+    total = len(pairs)
+    return {"name": name, "holds": equal == total, "detail": detail.format(equal=equal, total=total)}
+
+
 def _run_skein_suite(n: int, seed: int, count: int) -> dict:
     rng = random.Random(seed)
-    fixed_points = 0
-    stackings = 0
+    fixed_points = []
+    stackings = []
     for _ in range(count):
         first = _random_word(rng)
         second = _random_word(rng, top=first.ty.bottom)
         element = normalize(first, n)
-        if all(
-            normalize(canonical_basis_word(connector), n) == element_of_connector(connector, n)
-            for connector, _ in element.terms
-        ):
-            fixed_points += 1
-        if multiply(element, normalize(second, n)) == normalize(stack(first, second), n):
-            stackings += 1
+        connectors = [connector for connector, _ in element.terms]
+        fixed_points.append((
+            [normalize(canonical_basis_word(connector), n) for connector in connectors],
+            [element_of_connector(connector, n) for connector in connectors],
+        ))
+        stackings.append((multiply(element, normalize(second, n)), normalize(stack(first, second), n)))
     checks = [
-        {
-            "name": "normalFormFixedPoint",
-            "holds": fixed_points == count,
-            "detail": f"{fixed_points}/{count} normal forms are skein fixed points",
-        },
-        {
-            "name": "productMatchesStacking",
-            "holds": stackings == count,
-            "detail": f"{stackings}/{count} products agree with stacked normalization",
-        },
+        _check("normalFormFixedPoint", fixed_points, "{equal}/{total} normal forms are skein fixed points"),
+        _check("productMatchesStacking", stackings, "{equal}/{total} products agree with stacked normalization"),
     ]
     return _suite_report("skein", seed, checks, {"n": n, "count": count})
 
 
 def _run_hecke_suite(n: int, max_m: int) -> dict:
-    coincide = True
-    quadratic = True
-    braid = True
-    for m in range(2, max_m + 1):
-        ty = all_down_type(m)
-        for k in range(1, m):
-            action = hecke_action_matrix(m, k, n)
-            word = TangleWord(ty, [Cross(k, Hand.FIRST_OVER)])
-            if action != matrix_of_word(word, n):
-                coincide = False
-            ident = OperatorMatrix.identity(n, ty.top)
-            square = action.matmul(action)
-            if not (square + action.scaled(Q - QINV) - ident).is_zero():
-                quadratic = False
-        for k in range(1, m - 1):
-            a = hecke_action_matrix(m, k, n)
-            b = hecke_action_matrix(m, k + 1, n)
-            if a.matmul(b).matmul(a) != b.matmul(a).matmul(b):
-                braid = False
+    actions = {(m, k): hecke_action_matrix(m, k, n) for m in range(2, max_m + 1) for k in range(1, m)}
+    crossings = [
+        (t, matrix_of_word(TangleWord(all_down_type(m), [Cross(k, Hand.FIRST_OVER)]), n))
+        for (m, k), t in actions.items()
+    ]
+    quadratic = [
+        (t.matmul(t) + t.scaled(Q - QINV), OperatorMatrix.identity(n, all_down_type(m).top))
+        for (m, _), t in actions.items()
+    ]
+    braid = [
+        (a.matmul(b).matmul(a), b.matmul(a).matmul(b))
+        for (m, k), a in actions.items()
+        if (b := actions.get((m, k + 1))) is not None
+    ]
     checks = [
-        {
-            "name": "actionCoincidesWithCrossings",
-            "holds": coincide,
-            "detail": f"generator action equals crossing-word matrices up to m = {max_m}",
-        },
-        {
-            "name": "quadraticRelation",
-            "holds": quadratic,
-            "detail": "(T + q)(T - 1/q) vanishes on every generator",
-        },
-        {
-            "name": "braidRelation",
-            "holds": braid,
-            "detail": "adjacent generators satisfy the braid relation",
-        },
+        _check(
+            "actionCoincidesWithCrossings",
+            crossings,
+            f"generator action equals crossing-word matrices up to m = {max_m}",
+        ),
+        _check("quadraticRelation", quadratic, "(T + q)(T - 1/q) vanishes on every generator"),
+        _check("braidRelation", braid, "adjacent generators satisfy the braid relation"),
     ]
     return _suite_report("hecke", None, checks, {"n": n, "m": max_m})
 
 
 def _run_linking_suite(n: int, seed: int, count: int) -> dict:
     rng = random.Random(seed)
-    good = 0
+    stackings = []
     for _ in range(count):
         first = _random_word(rng, max_width=3, max_crossings=3, max_slices=5)
         second = _random_word(rng, top=first.ty.bottom, max_width=3, max_crossings=3, max_slices=5)
         composed = matrix_of_word(first, n).matmul(matrix_of_word(second, n))
-        if composed == matrix_of_word(stack(first, second), n):
-            good += 1
+        stackings.append((composed, matrix_of_word(stack(first, second), n)))
     checks = [
-        {
-            "name": "matrixOfStackIsComposition",
-            "holds": good == count,
-            "detail": f"{good}/{count} stacked words match composed matrices",
-        }
+        _check("matrixOfStackIsComposition", stackings, "{equal}/{total} stacked words match composed matrices"),
     ]
     return _suite_report("linking", seed, checks, {"n": n, "count": count})
 
@@ -474,30 +455,18 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         _run_linking_suite(2, args.seed, args.count),
     ]
     for r, s in ((1, 1), (2, 1), (1, 2)):
-        report = presentation_check(r, s, 2)
-        suites.append(
-            {
-                "suite": "presentation",
-                "r": r,
-                "s": s,
-                "n": 2,
-                "allPass": report.all_pass,
-                "checks": [
-                    {"name": res.name, "holds": res.holds, "detail": f"{res.lhs} = {res.rhs}"}
-                    for res in report.results
-                    if res.applicable
-                ],
-            }
-        )
+        data = {"suite": "presentation", **presentation_check(r, s, 2).to_json()}
+        data["checks"] = [
+            {"name": rel["name"], "holds": rel["holds"], "detail": f"{rel['lhs']} = {rel['rhs']}"}
+            for rel in data.pop("relations")
+            if rel["applicable"]
+        ]
+        suites.append(data)
     for n, r, s in ((2, 1, 1), (2, 2, 1)):
-        report = verify_schur_weyl(n, r, s, Fraction(5, 3))
-        data = report.to_json()
+        data = verify_schur_weyl(n, r, s, Fraction(5, 3)).to_json()
         del data["timingsSeconds"]
         data["suite"] = "duality"
-        data["checks"] = [
-            {"name": claim["name"], "holds": claim["holds"], "detail": claim["detail"]}
-            for claim in data.pop("claims")
-        ]
+        data["checks"] = data.pop("claims")
         suites.append(data)
     overall = {
         "suite": "all",

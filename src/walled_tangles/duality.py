@@ -206,19 +206,20 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
 def _weight_classes(
     sweep: Sequence[UGenerator], boundary, n: int, q0: ExactRational
 ) -> list[list[MultiIndex]]:
-    """Group the labels by their eigenvalues under every Cartan unit of the sweep.
+    """Group the labels by their eigenvalues under every K(i) of the sweep.
 
     Each ``K`` must specialize to a diagonal matrix; a matrix commuting with
-    it then vanishes between labels of different eigenvalues.  Away from
-    q = 1 and q = -1 the classes are the weight spaces; at those classical
-    points the eigenvalues coincide more often and the classes coarsen, down
-    to a single class at q = 1.  One denominator per generator scales a
+    it then vanishes between labels of different eigenvalues.  K'(i) has the
+    inverse eigenvalues, so it splits no class that K(i) leaves whole and is
+    not rendered here.  Away from q = 1 and q = -1 the classes are the
+    weight spaces; at those classical points the eigenvalues coincide more
+    often and the classes coarsen, down to a single class at q = 1.  One denominator per generator scales a
     whole signature entry alike, so the classes do not depend on it.
     """
     labels = list(label_tuples(n, len(boundary)))
     signature: dict[MultiIndex, tuple] = {label: () for label in labels}
     for gen in sweep:
-        if not isinstance(gen, K):
+        if not isinstance(gen, K) or gen.sign < 0:
             continue
         action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
         if any(row != col for row, col in action):
@@ -246,17 +247,20 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     homogeneous system [X, A] = 0, one row per matrix position it touches,
     solved by exact elimination; the answer is the nullity.  Each A enters
     as integers over its one denominator, which scales its whole system.
+
+    The budget is charged with the blocked unknowns, before E or F is
+    rendered or any row is built.  Sorting the labels into classes renders
+    each of the n - 1 units K(i) on every label; an instance with more of
+    those diagonal entries than the budget is charged with them instead,
+    and refused before any is rendered.
     """
     boundary = algebra_type(r, s).top
-    size = n ** (r + s)
-    _require_budget(size * size, "the commutant system")
+    signatures = (n - 1) * n ** (r + s)
     sweep = generator_sweep(n)
-    unknowns = [
-        (row, col)
-        for block in _weight_classes(sweep, boundary, n, q0)
-        for row in block
-        for col in block
-    ]
+    classes = _weight_classes(sweep, boundary, n, q0) if signatures <= VARIABLE_BUDGET else []
+    blocked = sum(len(block) ** 2 for block in classes)
+    _require_budget(blocked or signatures, "the commutant system" if classes else "the weight signature table")
+    unknowns = [(row, col) for block in classes for row in block for col in block]
     rows = []
     for gen in sweep:
         if isinstance(gen, K):
@@ -338,53 +342,47 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     the requested point only, and a mismatch there is a failure.
     """
     q0 = Fraction(q0)
-    size = n ** (r + s)
-    _require_budget(size * size, "the commutant system")
-    timings: list[tuple[str, float]] = []
-    claims: list[ClaimResult] = []
+    # The commutant comes first: it refuses an oversized instance before any
+    # diagram is rendered or any system eliminated.
+    started = time.perf_counter()
+    dim = commutant_dim(n, r, s, q0)
+    rank = image_rank(n, r, s, q0)
+    ranks_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     failure = _first_uncommuting_step(n, r, s)
-    timings.append(("commutation", time.perf_counter() - started))
-    claims.append(
+    commutation_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    tangle_ann = factorial(r + s) - rank
+    hecke_ann = factorial(r + s) - image_rank(n, r + s, 0, q0)
+    timings = (
+        ("commutation", commutation_seconds),
+        ("ranks", ranks_seconds),
+        ("annihilators", time.perf_counter() - started),
+    )
+
+    faithful = tangle_ann == 0
+    claims = (
         ClaimResult(
             "commutation",
             failure is None,
             "all basis matrices commute with the sweep symbolically"
             if failure is None
             else f"slice block {failure[0]} does not intertwine {failure[1]}",
-        )
-    )
-
-    started = time.perf_counter()
-    rank = image_rank(n, r, s, q0)
-    dim = commutant_dim(n, r, s, q0)
-    timings.append(("ranks", time.perf_counter() - started))
-    claims.append(
-        ClaimResult("rankMatch", rank == dim, f"image rank {rank}, commutant dimension {dim} at q = {q0}")
-    )
-
-    started = time.perf_counter()
-    tangle_ann = factorial(r + s) - rank
-    hecke_ann = factorial(r + s) - image_rank(n, r + s, 0, q0)
-    timings.append(("annihilators", time.perf_counter() - started))
-    claims.append(
+        ),
+        ClaimResult("rankMatch", rank == dim, f"image rank {rank}, commutant dimension {dim} at q = {q0}"),
         ClaimResult(
             "annihilatorMatch",
             tangle_ann == hecke_ann,
             f"walled side {tangle_ann}, all-down side {hecke_ann}",
-        )
-    )
-
-    faithful = tangle_ann == 0
-    claims.append(
+        ),
         ClaimResult(
             "faithfulness",
             faithful == (n >= r + s),
             f"annihilator {tangle_ann} with n = {n}, r + s = {r + s}",
-        )
+        ),
     )
-
     return DualityReport(
         n=n,
         r=r,
@@ -395,8 +393,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
         annihilator_dim=tangle_ann,
         hecke_annihilator_dim=hecke_ann,
         faithful=faithful,
-        claims=tuple(claims),
-        timings=tuple(timings),
+        claims=claims,
+        timings=timings,
     )
 
 

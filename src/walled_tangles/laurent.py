@@ -61,10 +61,6 @@ class LaurentPoly:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.terms)
 
-    def is_monomial_unit(self) -> bool:
-        """True when the polynomial is exactly one term with coefficient +-1."""
-        return len(self.terms) == 1 and self.terms[0][1] in (1, -1)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
@@ -115,36 +111,6 @@ class LaurentPoly:
         return _trusted(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> LaurentPoly:
-        """Nonnegative powers always work; negative powers require a monomial
-        with coefficient +-1 (the only units of this ring).
-
-        >>> (Q + QINV) ** 2
-        LaurentPoly('1*q^-2 + 2*q^0 + 1*q^2')
-        >>> Q ** -3
-        LaurentPoly('1*q^-3')
-        >>> (Q + ONE) ** -1
-        Traceback (most recent call last):
-            ...
-        ValueError: only monomials with coefficient +-1 have negative powers
-        """
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be int")
-        if exponent < 0:
-            if not self.is_monomial_unit():
-                raise ValueError("only monomials with coefficient +-1 have negative powers")
-            e, c = self.terms[0]
-            return LaurentPoly({e * exponent: c ** (exponent % 2)})
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     # -- rendering and serialization -----------------------------------------
 
@@ -226,7 +192,10 @@ def _quantum_binom_cached(l: int, k: int) -> LaurentPoly:
         return ONE
     # Balanced q-Pascal recursion keeps everything in integer Laurent form,
     # with no division by quantum factorials.
-    return (Q ** k) * _quantum_binom_cached(l - 1, k) + (Q ** (k - l)) * _quantum_binom_cached(l - 1, k - 1)
+    return (
+        LaurentPoly.monomial(1, k) * _quantum_binom_cached(l - 1, k)
+        + LaurentPoly.monomial(1, k - l) * _quantum_binom_cached(l - 1, k - 1)
+    )
 
 
 def quantum_binom(l: int, k: int) -> LaurentPoly:

@@ -355,114 +355,60 @@ class PresentationReport:
 def presentation_check(r: int, s: int, n: int) -> PresentationReport:
     """Check the defining relations of the walled algebra on its generators:
     the down-side and up-side crossings next to the wall and away from it,
-    and the turnback at the wall."""
+    and the turnback at the wall.
+
+    Each relation is a name and the list of (lhs, rhs) pairs it equates.  It
+    applies exactly when the list is non-empty, and holds when every pair is
+    equal."""
     ty = algebra_type(r, s)
 
-    def gen(pos: int, hand: Hand) -> TangleElement:
-        return normalize(TangleWord(ty, [Cross(pos, hand)]), n)
-
-    g = {i: gen(r - i, Hand.FIRST_OVER) for i in range(1, r)}
-    ginv = {i: gen(r - i, Hand.FIRST_UNDER) for i in range(1, r)}
-    gs = {j: gen(r + j, Hand.FIRST_OVER) for j in range(1, s)}
-    turn = None
-    if r >= 1 and s >= 1:
-        turn = normalize(TangleWord(ty, [Min(r), Max(r, Sweep.RIGHT_TO_LEFT)]), n)
-    one = identity_element(r, s, n)
+    def gen(*slices: Slice) -> TangleElement:
+        return normalize(TangleWord(ty, slices), n)
 
     def prod(*factors: TangleElement) -> TangleElement:
-        out = factors[0]
-        for f in factors[1:]:
-            out = multiply(out, f)
-        return out
+        return functools.reduce(multiply, factors)
 
-    results = []
+    def commute(x: TangleElement, y: TangleElement) -> tuple:
+        return prod(x, y), prod(y, x)
 
-    def commuting(family: dict) -> tuple:
-        pairs = [(i, j) for i in family for j in family if j >= i + 2]
-        if not pairs:
-            return None, None
-        lhs = [prod(family[i], family[j]) for i, j in pairs]
-        rhs = [prod(family[j], family[i]) for i, j in pairs]
-        return lhs, rhs
+    def braid(x: TangleElement, y: TangleElement) -> tuple:
+        return prod(x, y, x), prod(y, x, y)
 
-    def braiding(family: dict) -> tuple:
-        triples = [(i, i + 1) for i in family if i + 1 in family]
-        if not triples:
-            return None, None
-        lhs = [prod(family[i], family[j], family[i]) for i, j in triples]
-        rhs = [prod(family[j], family[i], family[j]) for i, j in triples]
-        return lhs, rhs
-
-    def quadratic(family: dict) -> tuple:
-        if not family:
-            return None, None
-        lhs = [prod(x, x) for x in family.values()]
-        rhs = [one + (QINV - Q) * x for x in family.values()]
-        return lhs, rhs
-
-    def many(name: str, pair: tuple) -> None:
-        lhs, rhs = pair
-        if lhs is None:
-            results.append(RelationResult(name, False, True, "-", "-"))
-        else:
-            holds = all(a == b for a, b in zip(lhs, rhs))
-            results.append(RelationResult(name, True, holds, "; ".join(map(str, lhs)), "; ".join(map(str, rhs))))
-
-    many("down crossings commute at distance", commuting(g))
-    many("up crossings commute at distance", commuting(gs))
-    many("down braid relation", braiding(g))
-    many("up braid relation", braiding(gs))
-    many("down quadratic relation", quadratic(g))
-    many("up quadratic relation", quadratic(gs))
-
-    if g and gs:
-        pairs = [(i, j) for i in g for j in gs]
-        lhs = [prod(g[i], gs[j]) for i, j in pairs]
-        rhs = [prod(gs[j], g[i]) for i, j in pairs]
-        many("down and up crossings commute", (lhs, rhs))
-    else:
-        many("down and up crossings commute", (None, None))
-
-    def wall_commutes(family: dict) -> tuple:
-        if turn is None:
-            return None, None
-        keys = [i for i in family if i >= 2]
-        if not keys:
-            return None, None
-        return [prod(turn, family[i]) for i in keys], [prod(family[i], turn) for i in keys]
-
-    many("turnback commutes with far down crossings", wall_commutes(g))
-    many("turnback commutes with far up crossings", wall_commutes(gs))
-
+    g = {i: gen(Cross(r - i, Hand.FIRST_OVER)) for i in range(1, r)}
+    gs = {j: gen(Cross(r + j, Hand.FIRST_OVER)) for j in range(1, s)}
+    one = identity_element(r, s, n)
+    # The turnback at the wall, when there is a strand on each side of it;
+    # with the inverse near down crossing, when both near crossings exist.
+    turn = [gen(Min(r), Max(r, Sweep.RIGHT_TO_LEFT))] if r and s else []
+    mixed = [(t, gen(Cross(r - 1, Hand.FIRST_UNDER))) for t in turn if 1 in g and 1 in gs]
     lam = LaurentPoly.monomial(1, -n)
-    near_down = turn is not None and 1 in g
-    near_up = turn is not None and 1 in gs
-    many(
-        "turnback absorbs the near down crossing",
-        ([prod(turn, g[1], turn)], [turn.scaled(lam)]) if near_down else (None, None),
-    )
-    many(
-        "turnback absorbs the near up crossing",
-        ([prod(turn, gs[1], turn)], [turn.scaled(lam)]) if near_up else (None, None),
-    )
-    many(
-        "turnback squares to the loop value",
-        ([prod(turn, turn)], [turn.scaled(quantum_int(n))]) if turn is not None else (None, None),
-    )
-    both = near_down and near_up
-    many(
-        "mixed wall relation, turnback first",
-        ([prod(turn, ginv[1], gs[1], turn, g[1])], [prod(turn, ginv[1], gs[1], turn, gs[1])])
-        if both
-        else (None, None),
-    )
-    many(
-        "mixed wall relation, crossing first",
-        ([prod(g[1], turn, ginv[1], gs[1], turn)], [prod(gs[1], turn, ginv[1], gs[1], turn)])
-        if both
-        else (None, None),
-    )
-
+    relations = [
+        ("down crossings commute at distance", [commute(g[i], g[j]) for i in g for j in g if j >= i + 2]),
+        ("up crossings commute at distance", [commute(gs[i], gs[j]) for i in gs for j in gs if j >= i + 2]),
+        ("down braid relation", [braid(g[i], g[i + 1]) for i in g if i + 1 in g]),
+        ("up braid relation", [braid(gs[j], gs[j + 1]) for j in gs if j + 1 in gs]),
+        ("down quadratic relation", [(prod(x, x), one + (QINV - Q) * x) for x in g.values()]),
+        ("up quadratic relation", [(prod(x, x), one + (QINV - Q) * x) for x in gs.values()]),
+        ("down and up crossings commute", [commute(x, y) for x in g.values() for y in gs.values()]),
+        ("turnback commutes with far down crossings", [commute(t, g[i]) for t in turn for i in g if i >= 2]),
+        ("turnback commutes with far up crossings", [commute(t, gs[j]) for t in turn for j in gs if j >= 2]),
+        ("turnback absorbs the near down crossing", [(prod(t, g[1], t), t.scaled(lam)) for t in turn if 1 in g]),
+        ("turnback absorbs the near up crossing", [(prod(t, gs[1], t), t.scaled(lam)) for t in turn if 1 in gs]),
+        ("turnback squares to the loop value", [(prod(t, t), t.scaled(quantum_int(n))) for t in turn]),
+        (
+            "mixed wall relation, turnback first",
+            [(prod(t, h, gs[1], t, g[1]), prod(t, h, gs[1], t, gs[1])) for t, h in mixed],
+        ),
+        (
+            "mixed wall relation, crossing first",
+            [(prod(g[1], t, h, gs[1], t), prod(gs[1], t, h, gs[1], t)) for t, h in mixed],
+        ),
+    ]
+    results = []
+    for name, pairs in relations:
+        lhs = "; ".join(str(a) for a, _ in pairs) or "-"
+        rhs = "; ".join(str(b) for _, b in pairs) or "-"
+        results.append(RelationResult(name, bool(pairs), all(a == b for a, b in pairs), lhs, rhs))
     return PresentationReport(r, s, n, tuple(results))
 
 

@@ -41,9 +41,6 @@ class Orientation(enum.Enum):
     DOWN = "v"
     UP = "^"
 
-    def flipped(self) -> Orientation:
-        return Orientation.UP if self is Orientation.DOWN else Orientation.DOWN
-
     def __repr__(self) -> str:
         return self.name
 

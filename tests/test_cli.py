@@ -467,7 +467,7 @@ FAILING_CALLS = (
     (("normalize", "--n", "2"), 2),
     (("normalize", "--help"), 0),
     (("normalize", "--n", "2", "--type", "vv|vv", "--word", "X+(9)"), 2),
-    (("verify", "duality", "--n", "4", "--r", "2", "--s", "2"), 1),
+    (("verify", "duality", "--n", "4", "--r", "3", "--s", "2"), 1),
     (("verify", "duality", "--n", "2", "--r", "1", "--s", "1", "--q0", "-5/3"), 2),
 )
 

@@ -146,11 +146,38 @@ class TestExactRanks:
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            commutant_dim(4, 2, 2, Q0)
+            commutant_dim(4, 3, 2, Q0)
         with pytest.raises(ResourceLimitError):
-            verify_schur_weyl(4, 2, 2, Q0)
+            verify_schur_weyl(4, 3, 2, Q0)
         with pytest.raises(ResourceLimitError):
             image_rank(2, 4, 4, Q0)
+
+    def test_budget_charges_the_blocked_unknowns(self, monkeypatch):
+        # (2, 2, 2) has 70 blocked unknowns, against 256 in the dense system.
+        monkeypatch.setattr(duality, "VARIABLE_BUDGET", 70)
+        assert verify_schur_weyl(2, 2, 2, Q0).commutant_dim == 14
+        monkeypatch.setattr(duality, "VARIABLE_BUDGET", 69)
+        with pytest.raises(ResourceLimitError, match="70 variables"):
+            commutant_dim(2, 2, 2, Q0)
+
+    def test_refused_instance_renders_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rendered or eliminated before the budget check")
+
+        for name in ("_rank_of_rows", "slice_matrix", "specialized_word_matrices", "_first_uncommuting_step"):
+            monkeypatch.setattr(duality, name, forbidden)
+        exact = duality.gen_on_mixed
+
+        def units_only(gen, boundary, n):
+            return exact(gen, boundary, n) if isinstance(gen, K) else forbidden()
+
+        monkeypatch.setattr(duality, "gen_on_mixed", units_only)
+        with pytest.raises(ResourceLimitError, match="31504 variables"):
+            verify_schur_weyl(4, 3, 2, Q0)
+        # Past the budget in K(i) diagonal entries, not even the units are rendered.
+        monkeypatch.setattr(duality, "gen_on_mixed", forbidden)
+        with pytest.raises(ResourceLimitError, match="weight signature"):
+            verify_schur_weyl(100, 1, 1, Q0)
 
     def test_generator_sweep_contents(self):
         assert generator_sweep(1) == ()

@@ -68,14 +68,6 @@ class TestArithmetic:
         assert Q - 1 == LaurentPoly({1: 1, 0: -1})
         assert 1 - Q == LaurentPoly({0: 1, 1: -1})
 
-    def test_negative_power_requires_unit(self):
-        assert Q**-1 == QINV
-        assert (-Q) ** -3 == LaurentPoly({-3: -1})
-        with pytest.raises(ValueError):
-            (Q + ONE) ** -1
-        with pytest.raises(ValueError):
-            LaurentPoly({1: 2}) ** -1
-
     @given(small_polys, small_polys, small_polys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a

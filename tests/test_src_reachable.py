@@ -6,6 +6,10 @@ outside its own body, as a name or an attribute.  Docstrings are strings, so
 a doctest does not count.  A CLI handler is referenced by its
 ``set_defaults(func=...)``.  A definition that only tests call belongs in
 ``tests/``.
+
+References are matched by bare name, not by owner, so a method counts as
+reached when anything of the same name is used anywhere in src: an unused
+``Orientation.flipped`` went unflagged while ``Hand.flipped`` was in use.
 """
 
 from __future__ import annotations
