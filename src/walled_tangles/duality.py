@@ -10,6 +10,11 @@ no rank depends on, and eliminated fraction-free.  Containment is proved
 identically in q once per elementary slice of the basis words, which by
 functoriality covers every basis matrix (``_first_uncommuting_step``).
 
+When n >= r + s the image rank is first certified from a subset of rows:
+the rows of one weight space, rendered alone.  Dropping rows can only
+lower a rank, and the (r+s)! basis matrices bound it from above, so a
+restricted rank of (r+s)! is exact; otherwise every row is ranked.
+
 The bridge to the one-wall-free picture is the strand-bending transport
 ``skein.hecke_to_walled``; its classical shadow at q = 1, kept here, is the
 flip that exchanges top and bottom vertices on one side of the wall.
@@ -27,8 +32,10 @@ from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
 from .rep import MultiIndex, label_tuples, slice_matrix, specialized_word_matrices
 from .tangle import (
+    DOWN,
     Connector,
     Max,
+    Orientation,
     TangleType,
     TangleWord,
     algebra_type,
@@ -182,6 +189,22 @@ def _require_budget(variables: int, what: str) -> None:
         )
 
 
+def _largest_weight_space(n: int, boundary: Sequence[Orientation]) -> list[MultiIndex]:
+    """The labels of the most populous weight space of the boundary.
+
+    A label's weight counts, for each value 1..n, the DOWN points carrying
+    it minus the UP points carrying it, so it does not depend on q.  Of
+    equally populous spaces, the one whose first label comes first wins.
+    """
+    spaces: dict[tuple[int, ...], list[MultiIndex]] = {}
+    for label in label_tuples(n, len(boundary)):
+        weight = [0] * n
+        for orientation, value in zip(boundary, label):
+            weight[value - 1] += 1 if orientation is DOWN else -1
+        spaces.setdefault(tuple(weight), []).append(label)
+    return max(spaces.values(), key=len)
+
+
 def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     """Rank of the span of all basis diagram matrices at the specialization.
 
@@ -191,16 +214,31 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     dropped, is flattened to a sparse vector; elimination runs over the
     union of the occupied positions, so the cost scales with the number of
     basis elements and their support, not with the full matrix square.
+
+    For n >= r + s the rows of the most populous weight space are rendered
+    and ranked first.  Leaving rows out of every matrix is a linear map on
+    their span, so it can only lower the rank, and (r+s)! matrices span at
+    most (r+s)! dimensions.  A restricted rank of (r+s)! is therefore the
+    exact rank, and is returned; any smaller one proves nothing, and the
+    full rows are ranked.  For n < r + s the faithfulness claim puts the
+    rank below (r+s)!, so only the full rows are ranked.
     """
     m = r + s
     _require_budget(factorial(m), "the basis dependency system")
+    ty = algebra_type(r, s)
     index = {label: t for t, label in enumerate(label_tuples(n, m))}
     size = len(index)
-    words = [canonical_basis_word(connector) for connector in enumerate_connectors(algebra_type(r, s))]
-    return _rank_of_rows(
-        {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
-        for rows, _ in specialized_word_matrices(words, n, q0)
-    )
+    words = [canonical_basis_word(connector) for connector in enumerate_connectors(ty)]
+
+    def rank(start=None) -> int:
+        return _rank_of_rows(
+            {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
+            for rows, _ in specialized_word_matrices(words, n, q0, start)
+        )
+
+    if n >= m and rank(set(_largest_weight_space(n, ty.top))) == len(words):
+        return len(words)
+    return rank()
 
 
 def _weight_classes(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Union
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Optional, Union
 
 from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .skein import TangleElement
@@ -89,9 +89,6 @@ class OperatorMatrix:
 
     def entry(self, row: MultiIndex, col: MultiIndex) -> LaurentPoly:
         return self.entries.get((row, col), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
         if (self.n, self.row_type, self.col_type) != (other.n, other.row_type, other.col_type):
@@ -274,7 +271,9 @@ def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
     return mat
 
 
-def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRational) -> list[tuple[dict, int]]:
+def specialized_word_matrices(
+    words: Sequence[TangleWord], n: int, q0: ExactRational, start: Optional[Container[MultiIndex]] = None
+) -> list[tuple[dict, int]]:
     """Matrices of the words at q = q0, in input order: one (rows, scale)
     pair per word, the matrix being the integers {row: {col: entry}} / scale.
 
@@ -283,6 +282,11 @@ def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRati
     depth-first along the trie of their slice prefixes, so a shared prefix
     is multiplied once and only the products on the current path are held.
     Exact, because specializing q is a ring homomorphism.
+
+    Given ``start``, a set of top labels, the walk starts from the identity
+    restricted to those labels, so only those rows are rendered: the output
+    is the full output with every other row left out, and costs in
+    proportion to the rows kept.
     """
     paths = [tuple(zip(word.levels, word.slices)) for word in words]
     factors: dict[tuple, tuple[dict, int]] = {}  # (level, slice) -> (rows, denominator)
@@ -314,7 +318,7 @@ def specialized_word_matrices(words: Sequence[TangleWord], n: int, q0: ExactRati
             descend(group, depth + 1, below, scale * den)
 
     for top in dict.fromkeys(word.ty.top for word in words):
-        identity = {idx: {idx: 1} for idx in label_tuples(n, len(top))}
+        identity = {idx: {idx: 1} for idx in label_tuples(n, len(top)) if start is None or idx in start}
         descend([w for w, word in enumerate(words) if word.ty.top == top], 0, identity, 1)
     # descend reaches itself through its closure; left in place, that cycle
     # keeps the slice factors and every word's product alive past this call,

@@ -87,9 +87,6 @@ class TangleElement:
         self.n = n
         self.terms = tuple(sorted(((c, k) for c, k in acc.items() if not k.is_zero()), key=lambda t: t[0].edges))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check_compatible(self, other: TangleElement) -> None:
         if self.ty != other.ty or self.n != other.n:
             raise ValueError("elements live in different algebras")

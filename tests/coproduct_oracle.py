@@ -36,7 +36,7 @@ def gen_on_V(gen: UGenerator, n: int) -> OperatorMatrix:
     {((2,), (1,)): LaurentPoly('1*q^0')}
     >>> gen_on_V(K(1), 2).entry((1,), (1,))
     LaurentPoly('1*q^1')
-    >>> gen_on_V(E(1, 2), 2).is_zero()
+    >>> not gen_on_V(E(1, 2), 2).entries
     True
     """
     _validate(gen, n)

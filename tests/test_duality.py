@@ -36,6 +36,7 @@ from walled_tangles.tangle import (
     Connector,
     Cross,
     Hand,
+    UP,
     TangleWord,
     algebra_type,
     all_down_type,
@@ -186,6 +187,71 @@ class TestExactRanks:
         assert generator_sweep(3) == divided_power_sweep(3, 1)
 
 
+def full_rows_rank(n: int, r: int, s: int, q0: Fraction) -> int:
+    """Oracle for ``image_rank``: every row of every basis matrix, ranked."""
+    words = [canonical_basis_word(c) for c in enumerate_connectors(algebra_type(r, s))]
+    return duality._rank_of_rows(
+        {(row, col): value for row, cols in rows.items() for col, value in cols.items()}
+        for rows, _ in rep.specialized_word_matrices(words, n, q0)
+    )
+
+
+FAITHFUL_CASES = [(n, r, m - r) for m in range(1, 5) for n in range(m, 5) for r in range(m + 1)]
+
+
+class TestWeightRowCertificate:
+    def test_faithful_grid_size(self):
+        assert len(FAITHFUL_CASES) == 30
+
+    @pytest.mark.parametrize("n,r,s", FAITHFUL_CASES, ids=str)
+    def test_image_rank_matches_all_rows(self, n, r, s):
+        for q0 in (Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2)):
+            assert image_rank(n, r, s, q0) == full_rows_rank(n, r, s, q0) == math.factorial(r + s)
+
+    def test_short_restricted_rank_falls_back_to_all_rows(self, monkeypatch):
+        ranks = []
+        exact = duality._rank_of_rows
+
+        def recorded(rows):
+            ranks.append(exact(rows))
+            return ranks[-1]
+
+        monkeypatch.setattr(duality, "_rank_of_rows", recorded)
+        monkeypatch.setattr(duality, "_largest_weight_space", lambda n, boundary: [(1, 2, 3, 4)])
+        assert image_rank(4, 2, 2, Q0) == 24
+        assert len(ranks) == 2 and ranks[0] < 24 and ranks[1] == 24
+
+    @pytest.mark.parametrize("n,r,s,restricted", [(4, 2, 2, True), (5, 3, 1, True), (3, 2, 2, False), (2, 3, 0, False)])
+    def test_rows_are_restricted_only_when_n_reaches_r_plus_s(self, monkeypatch, n, r, s, restricted):
+        starts = []
+        exact = duality.specialized_word_matrices
+
+        def recorded(words, n, q0, start=None):
+            starts.append(start)
+            return exact(words, n, q0, start)
+
+        monkeypatch.setattr(duality, "specialized_word_matrices", recorded)
+        image_rank(n, r, s, Q0)
+        if restricted:
+            assert len(starts) == 1
+            assert starts[0] == set(duality._largest_weight_space(n, algebra_type(r, s).top))
+        else:
+            assert starts == [None]
+
+    def test_largest_weight_space_on_two_points(self):
+        assert duality._largest_weight_space(2, (DOWN, UP)) == [(1, 1), (2, 2)]
+        assert duality._largest_weight_space(3, (DOWN, DOWN)) == [(1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("n,r,s", [(2, 2, 2), (3, 2, 1), (3, 1, 2), (4, 3, 1), (4, 4, 0), (3, 0, 3), (5, 2, 2)])
+    def test_largest_weight_space_is_the_largest_weight_class(self, n, r, s):
+        boundary = algebra_type(r, s).top
+        labels = duality._largest_weight_space(n, boundary)
+        # Away from q = +-1 the Cartan eigenvalue classes are the weight spaces.
+        classes = duality._weight_classes(generator_sweep(n), boundary, n, Q0)
+        assert len(labels) == max(len(block) for block in classes)
+        assert labels in classes
+
+
 class TestSymbolicCommutation:
     @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2)])
     def test_basis_matrices_commute_with_the_sweep(self, n, r, s):
@@ -315,16 +381,16 @@ class TestVanishingCorrespondence:
             w = hecke_to_walled(word, r, s, n).scaled(coeff)
             hecke_sum = h if hecke_sum is None else hecke_sum + h
             walled_sum = w if walled_sum is None else walled_sum + w
-        assert not hecke_sum.is_zero()
-        assert not walled_sum.is_zero()
-        assert matrix_of_element(hecke_sum).is_zero()
-        assert matrix_of_element(walled_sum).is_zero()
+        assert hecke_sum.terms
+        assert walled_sum.terms
+        assert not matrix_of_element(hecke_sum).entries
+        assert not matrix_of_element(walled_sum).entries
 
     def test_nonkernel_elements_vanish_on_neither_side(self):
         n, r, s = 2, 2, 1
         word = TangleWord(all_down_type(3), [])
-        assert not matrix_of_element(normalize(word, n)).is_zero()
-        assert not matrix_of_element(hecke_to_walled(word, r, s, n)).is_zero()
+        assert matrix_of_element(normalize(word, n)).entries
+        assert matrix_of_element(hecke_to_walled(word, r, s, n)).entries
 
 
 class TestClassicalFlip:

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from descent_oracle import matrix_by_descent
 
-from walled_tangles.duality import image_rank
-from walled_tangles.rep import specialized_word_matrices
+from walled_tangles.duality import _largest_weight_space, image_rank
+from walled_tangles.rep import label_tuples, specialized_word_matrices
 from walled_tangles.tangle import algebra_type, canonical_basis_word, enumerate_connectors
 
 POINTS = (Fraction(5, 3), Fraction(-5, 3), Fraction(2), Fraction(1), Fraction(-1))
@@ -30,6 +31,19 @@ def test_specialized_matrices_match_the_symbolic_route(n, r, s, q0):
         values = {(i, k): Fraction(v, scale) for i, cols in rows.items() for k, v in cols.items()}
         assert values == {key: Fraction(v, den) for key, v in entries.items()}
         assert all(isinstance(v, int) and v for cols in rows.values() for v in cols.values())
+
+
+@pytest.mark.parametrize("q0", (Fraction(5, 3), Fraction(-1)), ids=str)
+@pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 2, 2), (3, 3, 0), (4, 2, 1)])
+def test_start_labels_render_exactly_their_rows(n, r, s, q0):
+    ty = algebra_type(r, s)
+    words = [canonical_basis_word(c) for c in enumerate_connectors(ty)]
+    full = specialized_word_matrices(words, n, q0)
+    labels = list(label_tuples(n, r + s))
+    rng = random.Random(n * 100 + r * 10 + s)
+    for start in (set(), set(labels), set(_largest_weight_space(n, ty.top)), set(rng.sample(labels, len(labels) // 3))):
+        restricted = specialized_word_matrices(words, n, q0, start)
+        assert restricted == [({i: cols for i, cols in rows.items() if i in start}, scale) for rows, scale in full]
 
 
 def test_rendering_leaves_no_reference_cycle():
@@ -70,10 +84,13 @@ RSK_CASES = [
     for r in range(m + 1)
     for q0 in (Fraction(5, 3), Fraction(1), Fraction(-1))
 ] + [(2, r, 5 - r, Fraction(5, 3)) for r in range(6)]
+# Faithful instances, certified from the rows of one weight space.
+RSK_CASES += [(4, r, 4 - r, q0) for r in range(5) for q0 in (Fraction(5, 3), Fraction(1), Fraction(-1))]
+RSK_CASES += [(5, 5, 0, Fraction(5, 3)), (5, 3, 2, Fraction(5, 3))]
 
 
 def test_rsk_grid_size():
-    assert len(RSK_CASES) == 132
+    assert len(RSK_CASES) == 149
 
 
 @pytest.mark.parametrize("n,r,s,q0", RSK_CASES, ids=str)
