@@ -110,6 +110,8 @@ def parse_dsl(text: str) -> Union[TangleWord, list[UGenerator]]:
 
 
 def _parse_boundary(text: str) -> tuple[Orientation, ...]:
+    if "|" in text:
+        raise DslError("a boundary has no '|'", text.index("|"))
     return parse_type(text + "|" + text).top
 
 
@@ -399,17 +401,21 @@ def _cmd_structure_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_all_down_word(args: argparse.Namespace) -> TangleWord:
+    """The word on r + s down strands, read once both counts are checked."""
+    algebra_type(args.r, args.s)  # rejects negative strand counts
+    return _read_word_argument(args, all_down_type(args.r + args.s))
+
+
 def _cmd_hecke_to_walled(args: argparse.Namespace) -> int:
-    ty = all_down_type(args.r + args.s)
-    word = _read_word_argument(args, ty)
+    word = _read_all_down_word(args)
     element = hecke_to_walled(word, args.r, args.s, args.n)
     _emit(args, element.to_json(), lambda: str(element))
     return 0
 
 
 def _cmd_flip(args: argparse.Namespace) -> int:
-    ty = all_down_type(args.r + args.s)
-    word = _read_word_argument(args, ty)
+    word = _read_all_down_word(args)
     flipped = classical_flip(connector_of(word), args.r, args.s)
     data = {"type": render_type(flipped.ty), "edges": flipped.edge_names}
     _emit(args, data, lambda: str(flipped))

@@ -10,10 +10,13 @@ no rank depends on, and eliminated fraction-free.  Containment is proved
 identically in q once per elementary slice of the basis words, which by
 functoriality covers every basis matrix (``_first_uncommuting_step``).
 
-When n >= r + s the image rank is first certified from a subset of rows:
-the rows of one weight space, rendered alone.  Dropping rows can only
-lower a rank, and the (r+s)! basis matrices bound it from above, so a
-restricted rank of (r+s)! is exact; otherwise every row is ranked.
+Both sides read one weight per label, ``rep.label_weight``.  The
+commutant's unknowns lie inside the classes on which every K(i) has one
+eigenvalue, read off the weights with no unit rendered.  When n >= r + s
+the image rank is first certified from the rows of the most populous
+weight space, rendered alone.  Dropping rows can only lower a rank, and
+the (r+s)! basis matrices bound it from above, so a restricted rank of
+(r+s)! is exact; otherwise every row is ranked.
 
 The bridge to the one-wall-free picture is the strand-bending transport
 ``skein.hecke_to_walled``; its classical shadow at q = 1, kept here, is the
@@ -30,9 +33,8 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
-from .rep import MultiIndex, label_tuples, slice_matrix, specialized_word_matrices
+from .rep import MultiIndex, label_tuples, label_weight, slice_matrix, specialized_word_matrices
 from .tangle import (
-    DOWN,
     Connector,
     Max,
     Orientation,
@@ -189,20 +191,25 @@ def _require_budget(variables: int, what: str) -> None:
         )
 
 
-def _largest_weight_space(n: int, boundary: Sequence[Orientation]) -> list[MultiIndex]:
-    """The labels of the most populous weight space of the boundary.
+def _weight_classes(
+    n: int, boundary: Sequence[Orientation], q0: Optional[Fraction] = None
+) -> list[list[MultiIndex]]:
+    """The labels of the boundary grouped in one pass by their weight w
+    (``rep.label_weight``), or, given q0, by the eigenvalues q0^(w_i -
+    w_(i+1)) of the units K(i) that the weight determines.
 
-    A label's weight counts, for each value 1..n, the DOWN points carrying
-    it minus the UP points carrying it, so it does not depend on q.  Of
-    equally populous spaces, the one whose first label comes first wins.
+    Classes come in the order of their first label, each in label order.
+    Away from q = 1 and q = -1 the eigenvalue classes are the weight spaces;
+    at those classical points the eigenvalues coincide more often and the
+    classes coarsen, down to a single class at q = 1.
     """
-    spaces: dict[tuple[int, ...], list[MultiIndex]] = {}
+    classes: dict[tuple, list[MultiIndex]] = {}
     for label in label_tuples(n, len(boundary)):
-        weight = [0] * n
-        for orientation, value in zip(boundary, label):
-            weight[value - 1] += 1 if orientation is DOWN else -1
-        spaces.setdefault(tuple(weight), []).append(label)
-    return max(spaces.values(), key=len)
+        weight = label_weight(n, boundary, label)
+        if q0 is not None:
+            weight = tuple(q0 ** (weight[i] - weight[i + 1]) for i in range(n - 1))
+        classes.setdefault(weight, []).append(label)
+    return list(classes.values())
 
 
 def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
@@ -236,38 +243,9 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
             for rows, _ in specialized_word_matrices(words, n, q0, start)
         )
 
-    if n >= m and rank(set(_largest_weight_space(n, ty.top))) == len(words):
+    if n >= m and rank(set(max(_weight_classes(n, ty.top), key=len))) == len(words):
         return len(words)
     return rank()
-
-
-def _weight_classes(
-    sweep: Sequence[UGenerator], boundary, n: int, q0: ExactRational
-) -> list[list[MultiIndex]]:
-    """Group the labels by their eigenvalues under every K(i) of the sweep.
-
-    Each ``K`` must specialize to a diagonal matrix; a matrix commuting with
-    it then vanishes between labels of different eigenvalues.  K'(i) has the
-    inverse eigenvalues, so it splits no class that K(i) leaves whole and is
-    not rendered here.  Away from q = 1 and q = -1 the classes are the
-    weight spaces; at those classical points the eigenvalues coincide more
-    often and the classes coarsen, down to a single class at q = 1.  One denominator per generator scales a
-    whole signature entry alike, so the classes do not depend on it.
-    """
-    labels = list(label_tuples(n, len(boundary)))
-    signature: dict[MultiIndex, tuple] = {label: () for label in labels}
-    for gen in sweep:
-        if not isinstance(gen, K) or gen.sign < 0:
-            continue
-        action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
-        if any(row != col for row, col in action):
-            raise RuntimeError(f"{gen} does not act diagonally on the labels")
-        for label in labels:
-            signature[label] += (action.get((label, label), 0),)
-    classes: dict[tuple, list[MultiIndex]] = {}
-    for label in labels:
-        classes.setdefault(signature[label], []).append(label)
-    return list(classes.values())
 
 
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
@@ -279,28 +257,29 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     q0 = +-1, [k] is +-k.  So a matrix commuting with E commutes with every
     E^(l), and likewise F^(l).
 
-    Commuting with the Cartan units confines the unknown matrix to the
-    blocks of one eigenvalue class each, so only the entries inside a class
-    are unknowns.  The raising and lowering generators then give the sparse
-    homogeneous system [X, A] = 0, one row per matrix position it touches,
-    solved by exact elimination; the answer is the nullity.  Each A enters
-    as integers over its one denominator, which scales its whole system.
+    K(i) acts on a label of weight w by q0^(w_i - w_(i+1)), so commuting
+    with the Cartan units confines the unknown matrix to the blocks of one
+    eigenvalue class each, and only the entries inside a class are
+    unknowns.  The classes are read off the weights; no K is rendered, and
+    K'(i), with the inverse eigenvalues, splits no class.  The raising and
+    lowering generators then give the sparse homogeneous system [X, A] = 0,
+    one row per matrix position it touches, solved by exact elimination;
+    the answer is the nullity.  Each A enters as integers over its one
+    denominator, which scales its whole system.
 
     The budget is charged with the blocked unknowns, before E or F is
-    rendered or any row is built.  Sorting the labels into classes renders
-    each of the n - 1 units K(i) on every label; an instance with more of
-    those diagonal entries than the budget is charged with them instead,
-    and refused before any is rendered.
+    rendered or any row is built.  Sorting the labels into classes takes
+    the n - 1 eigenvalues of every label; an instance with more of those
+    than the budget is charged with them instead, and refused before any
+    is taken.
     """
     boundary = algebra_type(r, s).top
-    signatures = (n - 1) * n ** (r + s)
-    sweep = generator_sweep(n)
-    classes = _weight_classes(sweep, boundary, n, q0) if signatures <= VARIABLE_BUDGET else []
-    blocked = sum(len(block) ** 2 for block in classes)
-    _require_budget(blocked or signatures, "the commutant system" if classes else "the weight signature table")
+    _require_budget((n - 1) * n ** (r + s), "the weight signature table")
+    classes = _weight_classes(n, boundary, Fraction(q0))
+    _require_budget(sum(len(block) ** 2 for block in classes), "the commutant system")
     unknowns = [(row, col) for block in classes for row in block for col in block]
     rows = []
-    for gen in sweep:
+    for gen in generator_sweep(n):
         if isinstance(gen, K):
             continue
         by_row: dict[MultiIndex, list] = {}

@@ -14,7 +14,8 @@ and a transpose on every dual factor.  ``gen_on_mixed`` evaluates that
 action in closed form, one label tuple at a time:
 
 * q^h is diagonal: its exponent sums h[label] over the factors, with + on a
-  DOWN factor and - on an UP one, as the antipode inverts q^h.  K_i^(+-1)
+  DOWN factor and - on an UP one, as the antipode inverts q^h.  That is the
+  pairing of h with the label's weight, ``rep.label_weight``.  K_i^(+-1)
   is q^h with h = +-1 at i and -+1 at i + 1.
 * E_i^(l) sums over the l-subsets S of the factors.  Each chosen factor
   takes one step: e_(i+1) -> e_i with coefficient 1 on V, and
@@ -45,7 +46,7 @@ import itertools
 from typing import Union
 
 from .laurent import LaurentPoly
-from .rep import OperatorMatrix, label_tuples
+from .rep import OperatorMatrix, label_tuples, label_weight
 from .tangle import DOWN, UP, Orientation
 
 
@@ -143,7 +144,7 @@ def gen_on_mixed(gen: UGenerator, boundary, n: int) -> OperatorMatrix:
     if isinstance(gen, QH):
         diagonal = {}
         for labels in label_tuples(n, m):
-            exponent = sum(sign * gen.weight[a - 1] for sign, a in zip(signs, labels))
+            exponent = sum(h * w for h, w in zip(gen.weight, label_weight(n, boundary, labels)))
             diagonal[(labels, labels)] = LaurentPoly.monomial(1, exponent)
         return OperatorMatrix(n, boundary, boundary, diagonal)
     i, l = gen.i, gen.l

@@ -45,6 +45,22 @@ def label_tuples(n: int, width: int) -> Iterator[MultiIndex]:
     return itertools.product(range(1, n + 1), repeat=width)
 
 
+def label_weight(n: int, boundary: Sequence[Orientation], label: MultiIndex) -> tuple[int, ...]:
+    """The weight of a label on an oriented boundary: for each value 1..n,
+    the DOWN points carrying it minus the UP points carrying it.
+
+    q^h acts on the label's basis vector by q^(h . weight), so K_i by
+    q^(weight_i - weight_(i+1)); the weight itself does not depend on q.
+
+    >>> label_weight(3, (DOWN, UP, DOWN), (1, 2, 1))
+    (2, -1, 0)
+    """
+    weight = [0] * n
+    for orientation, value in zip(boundary, label):
+        weight[value - 1] += 1 if orientation is DOWN else -1
+    return tuple(weight)
+
+
 @dataclasses.dataclass(init=False, eq=True)
 class OperatorMatrix:
     """A sparse exact matrix between two labeled tensor spaces.
@@ -244,15 +260,13 @@ def slice_matrix(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
     below = apply_slice(level, slc)
     if isinstance(slc, Cross):
         local = _local_cross(n, (level[slc.pos - 1], level[slc.pos]), slc.hand)
-        left = slc.pos - 1
     elif isinstance(slc, Min):
         local = _local_min(n, (level[slc.pos - 1], level[slc.pos]))
-        left = slc.pos - 1
     elif isinstance(slc, Max):
         local = _local_max(n, slc.sweep)
-        left = slc.pos - 1
     else:
         raise TypeError(f"not a slice: {slc!r}")
+    left = slc.pos - 1
     right = len(level) - left - (2 if not isinstance(slc, Max) else 0)
     entries = {}
     for pre in label_tuples(n, left):

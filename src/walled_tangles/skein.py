@@ -446,6 +446,7 @@ def hecke_to_walled(word: TangleWord, r: int, s: int, n: int) -> TangleElement:
     chains undo each other positionally, so the identity maps to the
     identity, and at q = 1 each stage flips one top vertex right of the
     wall with the bottom vertex below it, in place."""
+    algebra_type(r, s)  # rejects negative strand counts
     m = r + s
     if word.ty != all_down_type(m):
         raise ValueError(f"expected a word of type {render_type(all_down_type(m))}")

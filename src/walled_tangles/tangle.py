@@ -235,15 +235,7 @@ def stack(upper: TangleWord, lower: TangleWord) -> TangleWord:
 
 def shifted_slices(slices: Iterable[Slice], offset: int) -> tuple[Slice, ...]:
     """The same slices with every position moved right by ``offset``."""
-    out: list[Slice] = []
-    for s in slices:
-        if isinstance(s, Cross):
-            out.append(Cross(s.pos + offset, s.hand))
-        elif isinstance(s, Min):
-            out.append(Min(s.pos + offset))
-        else:
-            out.append(Max(s.pos + offset, s.sweep))
-    return tuple(out)
+    return tuple(dataclasses.replace(s, pos=s.pos + offset) for s in slices)
 
 
 # -- boundary vertices and connectors ----------------------------------------

@@ -137,6 +137,13 @@ class TestMultiplyAndTransport:
             (("T1", "B1"), ("B2", "T2")): {"0": "1"}
         }
 
+    @pytest.mark.parametrize("command", ["hecke-to-walled", "flip"])
+    @pytest.mark.parametrize("r,s", [("3", "-1"), ("-2", "3")], ids=["s", "r"])
+    def test_negative_strand_count_is_a_usage_error(self, capsys, command, r, s):
+        extra = ("--n", "2") if command == "hecke-to-walled" else ()
+        code, out, err = run_cli(capsys, command, "--r", r, "--s", s, *extra, "--word", "X+(1)")
+        assert (code, out, err) == (2, "", "error: strand counts must be nonnegative\n")
+
     def test_flip_swaps_right_of_wall_in_place(self, capsys):
         data = run_json(
             capsys,
@@ -170,6 +177,12 @@ class TestMatrix:
         code, _, err = run_cli(capsys, "matrix", "--n", "2", "--generators", "E(1)")
         assert code == 2
         assert "boundary" in err
+
+    @pytest.mark.parametrize("boundary,column", [("v|", 2), ("v^|^", 3), ("|", 1)])
+    def test_bar_in_boundary_is_reported_at_its_own_column(self, capsys, boundary, column):
+        code, out, err = run_cli(capsys, "matrix", "--n", "2", "--generators", "E(1)", "--boundary", boundary)
+        assert (code, out) == (2, "")
+        assert err == f"error: column {column}: a boundary has no '|'\n"
 
     def test_bad_generator_index_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

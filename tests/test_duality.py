@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import compose_brauer, permutation_words
+from cartan_oracle import rendered_unit_classes
 from dense_commutant import dense_commutant_dim, dense_rank, divided_power_sweep
 from descent_oracle import matrix_by_descent
 from eval_oracle import lp_eval
@@ -27,9 +28,9 @@ from walled_tangles.duality import (
     image_rank,
     verify_schur_weyl,
 )
-from walled_tangles.laurent import ONE, Q, QINV, LaurentPoly
-from walled_tangles.qgroup import K, gen_on_mixed
-from walled_tangles.rep import OperatorMatrix, matrix_of_connector, matrix_of_element, matrix_of_word
+from walled_tangles.laurent import Q, QINV, LaurentPoly
+from walled_tangles.qgroup import gen_on_mixed
+from walled_tangles.rep import matrix_of_connector, matrix_of_element, matrix_of_word
 from walled_tangles.skein import hecke_to_walled, identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
     DOWN,
@@ -129,22 +130,6 @@ class TestExactRanks:
             assert commutant_dim(n, r, s, q0) == dim
             assert image_rank(n, r, s, q0) == dim
 
-    def test_non_diagonal_cartan_unit_is_rejected(self, monkeypatch):
-        exact = duality.gen_on_mixed
-
-        def skewed(gen, boundary, n):
-            matrix = exact(gen, boundary, n)
-            if isinstance(gen, K):
-                labels = sorted({row for row, _ in matrix.entries})
-                matrix = matrix + OperatorMatrix(
-                    n, boundary, boundary, {(labels[0], labels[1]): ONE}
-                )
-            return matrix
-
-        monkeypatch.setattr(duality, "gen_on_mixed", skewed)
-        with pytest.raises(RuntimeError, match="diagonal"):
-            commutant_dim(2, 1, 1, Q0)
-
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             commutant_dim(4, 3, 2, Q0)
@@ -165,18 +150,14 @@ class TestExactRanks:
         def forbidden(*args, **kwargs):
             raise AssertionError("rendered or eliminated before the budget check")
 
-        for name in ("_rank_of_rows", "slice_matrix", "specialized_word_matrices", "_first_uncommuting_step"):
+        rendering = ("_rank_of_rows", "slice_matrix", "specialized_word_matrices", "_first_uncommuting_step", "gen_on_mixed")
+        for name in rendering:
             monkeypatch.setattr(duality, name, forbidden)
-        exact = duality.gen_on_mixed
-
-        def units_only(gen, boundary, n):
-            return exact(gen, boundary, n) if isinstance(gen, K) else forbidden()
-
-        monkeypatch.setattr(duality, "gen_on_mixed", units_only)
+        # The classes are read off the label weights: no generator is rendered, not even K.
         with pytest.raises(ResourceLimitError, match="31504 variables"):
             verify_schur_weyl(4, 3, 2, Q0)
-        # Past the budget in K(i) diagonal entries, not even the units are rendered.
-        monkeypatch.setattr(duality, "gen_on_mixed", forbidden)
+        # Past the budget in K(i) eigenvalues, not even a weight is taken.
+        monkeypatch.setattr(duality, "label_weight", forbidden)
         with pytest.raises(ResourceLimitError, match="weight signature"):
             verify_schur_weyl(100, 1, 1, Q0)
 
@@ -185,6 +166,11 @@ class TestExactRanks:
         assert len(generator_sweep(2)) == 4
         assert len(generator_sweep(3)) == 8
         assert generator_sweep(3) == divided_power_sweep(3, 1)
+
+
+def largest_weight_space(n: int, boundary) -> list:
+    """The weight space ``image_rank`` ranks first."""
+    return max(duality._weight_classes(n, boundary), key=len)
 
 
 def full_rows_rank(n: int, r: int, s: int, q0: Fraction) -> int:
@@ -217,7 +203,7 @@ class TestWeightRowCertificate:
             return ranks[-1]
 
         monkeypatch.setattr(duality, "_rank_of_rows", recorded)
-        monkeypatch.setattr(duality, "_largest_weight_space", lambda n, boundary: [(1, 2, 3, 4)])
+        monkeypatch.setattr(duality, "_weight_classes", lambda n, boundary: [[(1, 2, 3, 4)]])
         assert image_rank(4, 2, 2, Q0) == 24
         assert len(ranks) == 2 and ranks[0] < 24 and ranks[1] == 24
 
@@ -234,22 +220,38 @@ class TestWeightRowCertificate:
         image_rank(n, r, s, Q0)
         if restricted:
             assert len(starts) == 1
-            assert starts[0] == set(duality._largest_weight_space(n, algebra_type(r, s).top))
+            assert starts[0] == set(largest_weight_space(n, algebra_type(r, s).top))
         else:
             assert starts == [None]
 
     def test_largest_weight_space_on_two_points(self):
-        assert duality._largest_weight_space(2, (DOWN, UP)) == [(1, 1), (2, 2)]
-        assert duality._largest_weight_space(3, (DOWN, DOWN)) == [(1, 2), (2, 1)]
+        assert largest_weight_space(2, (DOWN, UP)) == [(1, 1), (2, 2)]
+        assert largest_weight_space(3, (DOWN, DOWN)) == [(1, 2), (2, 1)]
 
     @pytest.mark.parametrize("n,r,s", [(2, 2, 2), (3, 2, 1), (3, 1, 2), (4, 3, 1), (4, 4, 0), (3, 0, 3), (5, 2, 2)])
     def test_largest_weight_space_is_the_largest_weight_class(self, n, r, s):
         boundary = algebra_type(r, s).top
-        labels = duality._largest_weight_space(n, boundary)
+        labels = largest_weight_space(n, boundary)
         # Away from q = +-1 the Cartan eigenvalue classes are the weight spaces.
-        classes = duality._weight_classes(generator_sweep(n), boundary, n, Q0)
+        classes = rendered_unit_classes(n, boundary, Q0)
         assert len(labels) == max(len(block) for block in classes)
         assert labels in classes
+
+
+#: Every (n, r, s) with n <= 4 and r + s <= 5, at five points, the classical ones included.
+CLASS_CASES = [(n, r, m - r) for n in range(1, 5) for m in range(6) for r in range(m + 1)]
+CLASS_POINTS = (Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2))
+
+
+class TestEigenvalueClasses:
+    def test_class_grid_size(self):
+        assert len(CLASS_CASES) * len(CLASS_POINTS) == 420
+
+    @pytest.mark.parametrize("n,r,s", CLASS_CASES, ids=str)
+    def test_weight_classes_match_the_rendered_units(self, n, r, s):
+        boundary = algebra_type(r, s).top
+        for q0 in CLASS_POINTS:
+            assert duality._weight_classes(n, boundary, q0) == rendered_unit_classes(n, boundary, q0)
 
 
 class TestSymbolicCommutation:

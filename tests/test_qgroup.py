@@ -8,7 +8,7 @@ import coproduct_oracle
 
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_binom, quantum_int
 from walled_tangles.qgroup import E, F, K, QH, gen_on_mixed
-from walled_tangles.rep import OperatorMatrix
+from walled_tangles.rep import OperatorMatrix, label_tuples, label_weight
 from walled_tangles.tangle import DOWN, UP
 
 
@@ -123,6 +123,35 @@ class TestClosedForm:
                 for gen in gens:
                     expected = coproduct_oracle.gen_on_mixed(gen, boundary, n)
                     assert gen_on_mixed(gen, boundary, n) == expected, (gen, boundary)
+
+
+class TestLabelWeight:
+    """Every Cartan unit is diagonal, with the exponents the label weights
+    give, on every orientation pattern of at most four points."""
+
+    def test_cartan_units_are_diagonal_with_the_weight_exponents(self):
+        for n in range(2, 5):
+            for m in range(5):
+                for boundary in itertools.product((DOWN, UP), repeat=m):
+                    weights = {label: label_weight(n, boundary, label) for label in label_tuples(n, m)}
+                    for i, sign in itertools.product(range(1, n), (1, -1)):
+                        expected = {
+                            (label, label): LaurentPoly.monomial(1, sign * (w[i - 1] - w[i]))
+                            for label, w in weights.items()
+                        }
+                        assert gen_on_mixed(K(i, sign), boundary, n).entries == expected, (i, sign, boundary)
+
+    def test_weight_counts_down_minus_up_points_per_value(self):
+        assert label_weight(3, (DOWN, UP, DOWN), (1, 2, 1)) == (2, -1, 0)
+        assert label_weight(2, (), ()) == (0, 0)
+        for n in range(1, 5):
+            for m in range(5):
+                for boundary in itertools.product((DOWN, UP), repeat=m):
+                    for label in label_tuples(n, m):
+                        down = [a for o, a in zip(boundary, label) if o is DOWN]
+                        up = [a for o, a in zip(boundary, label) if o is UP]
+                        expected = tuple(down.count(v) - up.count(v) for v in range(1, n + 1))
+                        assert label_weight(n, boundary, label) == expected
 
 
 def _split_after_two(gen, boundary, n):

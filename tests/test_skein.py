@@ -343,6 +343,12 @@ class TestBending:
 
 
 class TestHeckeTransport:
+    @pytest.mark.parametrize("r,s", [(3, -1), (-2, 3)])
+    def test_negative_strand_count_is_rejected(self, r, s):
+        word = TangleWord(all_down_type(r + s), [])
+        with pytest.raises(ValueError, match="strand counts must be nonnegative"):
+            hecke_to_walled(word, r, s, 2)
+
     @pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 2)])
     def test_images_span_the_whole_algebra(self, r, s):
         import math
