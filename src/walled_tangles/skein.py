@@ -55,6 +55,7 @@ from .tangle import (
     enumerate_connectors,
     render_type,
     shifted_slices,
+    stack,
     start_vertices,
     strand_graph,
 )
@@ -427,15 +428,6 @@ def bend_first(word: TangleWord) -> TangleWord:
     return TangleWord(TangleType((UP,) + ty.top[1:], (UP,) + ty.bottom[1:]), slices)
 
 
-def bend_element(element: TangleElement) -> TangleElement:
-    acc: dict[Connector, LaurentPoly] = {}
-    for connector, coeff in element.terms:
-        for c, k in normalize(bend_first(canonical_basis_word(connector)), element.n).terms:
-            acc[c] = acc.get(c, ZERO) + coeff * k
-    ty = element.ty
-    return TangleElement(TangleType((UP,) + ty.top[1:], (UP,) + ty.bottom[1:]), element.n, acc)
-
-
 def hecke_to_walled(word: TangleWord, r: int, s: int, n: int) -> TangleElement:
     """Carry an all-down word across the wall, one strand per stage.
 
@@ -445,25 +437,24 @@ def hecke_to_walled(word: TangleWord, r: int, s: int, n: int) -> TangleElement:
     cancels the kink unit the bend introduces.  The rotation and the parking
     chains undo each other positionally, so the identity maps to the
     identity, and at q = 1 each stage flips one top vertex right of the
-    wall with the bottom vertex below it, in place."""
+    wall with the bottom vertex below it, in place.  Bending commutes with
+    normalization, so the stages stack into one word that is normalized
+    once, and the s kink units come out as one factor q^(n s)."""
     algebra_type(r, s)  # rejects negative strand counts
     m = r + s
     if word.ty != all_down_type(m):
         raise ValueError(f"expected a word of type {render_type(all_down_type(m))}")
-    kink = LaurentPoly.monomial(1, n)
-    element = normalize(word, n)
     for t in range(1, s + 1):
         r_t = m - t + 1
         tail = (UP,) * (t - 1)
         block_ty = TangleType((DOWN,) * r_t + tail, (DOWN,) * r_t + tail)
         rotate = TangleWord(block_ty, [Cross(p, Hand.FIRST_OVER) for p in range(1, r_t)])
         unrotate = TangleWord(block_ty, [Cross(p, Hand.FIRST_UNDER) for p in range(r_t - 1, 0, -1)])
-        element = multiply(normalize(rotate, n), multiply(element, normalize(unrotate, n)))
         top_chain = TangleWord(
             TangleType((DOWN,) * (r_t - 1) + (UP,) + tail, (UP,) + (DOWN,) * (r_t - 1) + tail),
             [Cross(p, Hand.FIRST_OVER) for p in range(r_t - 1, 0, -1)],
         )
-        element = multiply(normalize(top_chain, n), bend_element(element).scaled(kink))
+        word = stack(top_chain, bend_first(stack(rotate, stack(word, unrotate))))
         for k in range(1, r_t):
             step = TangleWord(
                 TangleType(
@@ -472,5 +463,5 @@ def hecke_to_walled(word: TangleWord, r: int, s: int, n: int) -> TangleElement:
                 ),
                 [Cross(k, Hand.FIRST_UNDER)],
             )
-            element = multiply(element, normalize(step, n))
-    return element
+            word = stack(word, step)
+    return normalize(word, n).scaled(LaurentPoly.monomial(1, n * s))

@@ -13,11 +13,16 @@ Positions are 1-based within the current horizontal level.  A strand starts
 at a top DOWN point or a bottom UP point and ends at a top UP point or a
 bottom DOWN point; closed loops are allowed and arise from Max/Min pairs.
 
-Tracing numbers open strands by start and loops by creating peak: a loop's
-topmost point is a peak, so walking from each peak not yet walked, in slice
-order, meets every loop once.  The canonical diagram of a connector sets each
-crossing's hand as it emits it: the strand with the earlier start (the lower
-edge index) passes over.
+A strand runs along each segment in the direction of its orientation, so
+tracing gives every segment one successor as it reads the slices: at a
+crossing a DOWN segment continues into its partner below and an UP segment
+into its partner above, a valley leads into its UP segment, a peak into its
+DOWN segment, and an UP top or DOWN bottom segment ends at its boundary
+point.  Tracing numbers open strands by start and loops by creating peak:
+a loop's topmost point is a peak, so walking from each peak not yet walked,
+in slice order, meets every loop once.  The canonical diagram of a connector
+sets each crossing's hand as it emits it: the strand with the earlier start
+(the lower edge index) passes over.
 
 This module knows nothing about coefficients: it provides the combinatorial
 layer (validation, strand tracing, connectors, canonical diagram for a
@@ -392,129 +397,92 @@ class StrandGeometry:
 def strand_graph(word: TangleWord) -> StrandGeometry:
     """Trace every strand and loop of the word.
 
-    Each edge segment between two events (boundary, crossing, valley, peak)
-    gets an id; traversal follows strand orientation, flipping vertical
-    direction at valleys and peaks.
+    Each segment of strand between two events (boundary, crossing, valley,
+    peak) gets an id.  A strand runs along a segment in the direction of the
+    segment's orientation, DOWN meaning downward, so each segment has one
+    successor, fixed when its slice is read: at a crossing a DOWN segment
+    continues into its partner below and an UP segment into its partner
+    above; after a valley the strand continues into the UP segment and after
+    a peak into the DOWN segment; an UP top segment ends at its top vertex
+    and a DOWN bottom segment at its bottom vertex.  The walks follow these
+    successors, from each start and then from each peak not yet walked.
     """
-    counter = itertools.count()
-    orient: dict[int, Orientation] = {}
-    up_event: dict[int, tuple] = {}
-    down_event: dict[int, tuple] = {}
-    cross_at: dict[int, tuple[int, int, int, int]] = {}
-    min_at: dict[int, tuple[int, int]] = {}
-    max_at: dict[int, tuple[int, int]] = {}
+    new_segment = itertools.count().__next__
+    succ: dict[int, int | Vertex] = {}
+    arc_of: dict[int, tuple[int, str]] = {}
+    peaks: list[tuple[int, int, Orientation]] = []
 
-    level: list[int] = []
+    top = [new_segment() for _ in word.ty.top]
     for k, o in enumerate(word.ty.top, 1):
-        e = next(counter)
-        orient[e] = o
-        up_event[e] = ("T", k)
-        level.append(e)
-    top_edges = tuple(level)
-
+        if o is UP:
+            succ[top[k - 1]] = ("T", k)
+    level = list(top)
     for i, s in enumerate(word.slices):
+        p = s.pos - 1
+        above = word.levels[i]
         if isinstance(s, Cross):
-            a, b = level[s.pos - 1], level[s.pos]
-            c, d = next(counter), next(counter)
-            orient[c], orient[d] = orient[b], orient[a]
-            down_event[a] = down_event[b] = ("X", i)
-            up_event[c] = up_event[d] = ("X", i)
-            cross_at[i] = (a, b, c, d)
-            level[s.pos - 1 : s.pos + 1] = [c, d]
+            # Arc A joins a above to d below, arc B joins b above to c below.
+            a, b = level[p : p + 2]
+            c, d = new_segment(), new_segment()
+            e, f = (a, d) if above[p] is DOWN else (d, a)
+            succ[e], arc_of[e] = f, (i, "A")
+            e, f = (b, c) if above[p + 1] is DOWN else (c, b)
+            succ[e], arc_of[e] = f, (i, "B")
+            level[p : p + 2] = c, d
         elif isinstance(s, Min):
-            a, b = level[s.pos - 1], level[s.pos]
-            down_event[a] = down_event[b] = ("U", i)
-            min_at[i] = (a, b)
-            del level[s.pos - 1 : s.pos + 1]
+            a, b = level[p : p + 2]
+            fall, rise = (a, b) if above[p] is DOWN else (b, a)
+            succ[fall] = rise
+            del level[p : p + 2]
         else:
-            c, d = next(counter), next(counter)
-            orient[c], orient[d] = _MAX_CREATES[s.sweep]
-            up_event[c] = up_event[d] = ("N", i)
-            max_at[i] = (c, d)
-            level[s.pos - 1 : s.pos - 1] = [c, d]
+            c, d = new_segment(), new_segment()
+            left = _MAX_CREATES[s.sweep][0]
+            rise, fall = (c, d) if left is UP else (d, c)
+            succ[rise] = fall
+            peaks.append((i, fall, left))
+            level[p:p] = c, d
+    for k, o in enumerate(word.ty.bottom, 1):
+        if o is DOWN:
+            succ[level[k - 1]] = ("B", k)
 
-    for k, e in enumerate(level, 1):
-        down_event[e] = ("B", k)
-
-    def crossing_partner(i: int, e: int) -> tuple[int, str]:
-        a, b, c, d = cross_at[i]
-        if e == a:
-            return d, "A"
-        if e == d:
-            return a, "A"
-        if e == b:
-            return c, "B"
-        return b, "B"
-
+    walked: set[int] = set()
     arc_visit: dict[tuple[int, str], tuple[int, int]] = {}
-    edge_component: dict[int, int] = {}
 
-    def walk(start_edge: int, going_down: bool, component: int):
-        """Follow a strand from one of its segments; returns the boundary
-        vertex reached, or None when the walk closes up (a loop)."""
-        e, down = start_edge, going_down
-        time = 0
+    def walk(first: int, component: int) -> Vertex | None:
+        """Follow the successors from a segment; returns the boundary vertex
+        reached, or None when the walk closes up (a loop)."""
+        e, time = first, 0
         while True:
-            edge_component[e] = component
-            event = down_event[e] if down else up_event[e]
-            kind = event[0]
-            if kind in ("T", "B"):
-                return (kind, event[1])
-            if kind == "X":
-                partner, arc = crossing_partner(event[1], e)
-                arc_visit[(event[1], arc)] = (component, time)
+            walked.add(e)
+            arc = arc_of.get(e)
+            if arc is not None:
+                arc_visit[arc] = (component, time)
                 time += 1
-                e = partner
-            elif kind == "U":
-                a, b = min_at[event[1]]
-                e = a if e == b else b
-                down = not down
-            else:
-                c, d = max_at[event[1]]
-                e = c if e == d else d
-                down = not down
-            if e == start_edge and (down == going_down):
+            e = succ[e]
+            if isinstance(e, tuple):
+                return e
+            if e == first:
                 return None
 
     starts = start_vertices(word.ty)
-    ends = []
-    for comp, v in enumerate(starts):
-        if v[0] == "T":
-            first, going_down = top_edges[v[1] - 1], True
-        else:
-            first, going_down = level[v[1] - 1], False
-        ends.append(walk(first, going_down, comp))
+    ends = tuple(walk(top[k - 1] if side == "T" else level[k - 1], comp) for comp, (side, k) in enumerate(starts))
 
     # Every loop has a topmost point, a peak, so walking from each peak that
     # no earlier walk has marked, in slice order, meets each loop once at
     # its creating slice.
     loops = []
-    for i, (c, d) in sorted(max_at.items()):
-        if c in edge_component:
-            continue
-        closed = walk(c if orient[c] is DOWN else d, True, len(starts) + len(loops))
-        assert closed is None, "loop traversal must close up"
-        loops.append((i, orient[c]))
+    for i, fall, left in peaks:
+        if fall not in walked:
+            closed = walk(fall, len(starts) + len(loops))
+            assert closed is None, "loop traversal must close up"
+            loops.append((i, left))
 
     crossings = []
-    for i in sorted(cross_at):
-        a, b, _, _ = cross_at[i]
-        entry = (orient[a], orient[b])
-        s = word.slices[i]
-        comp_a, time_a = arc_visit[(i, "A")]
-        comp_b, time_b = arc_visit[(i, "B")]
-        crossings.append(
-            CrossingInfo(
-                slice_index=i,
-                hand=s.hand,
-                entry=entry,
-                sign=crossing_sign(entry, s.hand),
-                component_a=comp_a,
-                time_a=time_a,
-                component_b=comp_b,
-                time_b=time_b,
-            )
-        )
+    for i, s in enumerate(word.slices):
+        if isinstance(s, Cross):
+            entry = word.levels[i][s.pos - 1 : s.pos + 1]
+            sign = crossing_sign(entry, s.hand)
+            crossings.append(CrossingInfo(i, s.hand, entry, sign, *arc_visit[i, "A"], *arc_visit[i, "B"]))
 
     writhes = [0] * (len(starts) + len(loops))
     for c in crossings:
@@ -527,7 +495,7 @@ def strand_graph(word: TangleWord) -> StrandGeometry:
     return StrandGeometry(
         word=word,
         starts=starts,
-        ends=tuple(ends),
+        ends=ends,
         strand_writhes=tuple(writhes[: len(starts)]),
         loops=loop_infos,
         crossings=tuple(crossings),

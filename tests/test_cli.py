@@ -184,6 +184,46 @@ class TestMatrix:
         assert (code, out) == (2, "")
         assert err == f"error: column {column}: a boundary has no '|'\n"
 
+    @pytest.mark.parametrize(
+        "argv,labels",
+        [
+            (("--n", "4", "--type", "v12|v12", "--word", "X+(1)"), 16777216),
+            # The peak makes the widest level two points wider than the boundary.
+            (("--n", "2", "--type", "v11|v11", "--word", "N>(1) U(1)"), 8192),
+            (("--n", "4", "--boundary", "v^" * 4, "--generators", "E(1)"), 65536),
+        ],
+    )
+    def test_oversized_matrix_fails_before_any_rendering(self, capsys, monkeypatch, argv, labels):
+        def blow_up(*args, **kwargs):
+            raise AssertionError("a matrix was rendered")
+
+        monkeypatch.setattr("walled_tangles.cli.matrix_of_word", blow_up)
+        monkeypatch.setattr("walled_tangles.cli.word_matrix", blow_up)
+        code, out, err = run_cli(capsys, "matrix", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("resource limit: ") and f"has {labels} labels" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "2", "--type", "v10|v10", "--word", "N>(1) U(1)"),
+            ("--n", "4", "--boundary", "v^v^vv", "--generators", "E(1)"),
+        ],
+    )
+    def test_matrix_at_the_label_budget_is_rendered(self, capsys, monkeypatch, argv):
+        class Rendered(Exception):
+            pass
+
+        def rendered(*args, **kwargs):
+            raise Rendered
+
+        assert cli.MATRIX_LABEL_BUDGET == 4096
+        monkeypatch.setattr("walled_tangles.cli.matrix_of_word", rendered)
+        monkeypatch.setattr("walled_tangles.cli.word_matrix", rendered)
+        with pytest.raises(Rendered):
+            cli.main(["matrix", *argv])
+
     def test_bad_generator_index_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "matrix", "--n", "2", "--generators", "K(5)", "--boundary", "v^"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_word
+from strand_oracle import trace_by_events
 from walled_tangles.tangle import (
     DOWN,
     UP,
@@ -148,6 +149,35 @@ class TestStrandGraph:
             (5, FO, (DOWN, DOWN), -1, 0, 2, 2, 0),
             (6, FU, (DOWN, DOWN), 1, 2, 1, 0, 3),
         ]
+
+    def test_matches_event_oracle_on_seeded_words(self):
+        rng = random.Random(26)
+        loops = self_crossings = 0
+        for _ in range(2000):
+            w = random_word(
+                rng,
+                max_boundary=rng.randint(0, 4),
+                max_width=rng.randint(2, 7),
+                max_crossings=rng.randint(0, 8),
+                max_slices=rng.randint(0, 14),
+            )
+            g = strand_graph(w)
+            assert g == trace_by_events(w), str(w)
+            loops += len(g.loops)
+            self_crossings += sum(c.is_self_crossing() for c in g.crossings)
+        # The draws hold hundreds of loops and kinks, so the loop rule and
+        # the writhes are exercised, not only open strands.
+        assert loops > 500 and self_crossings > 500
+
+    def test_matches_event_oracle_on_canonical_words(self):
+        count = 0
+        for m in range(6):
+            for r in range(m + 1):
+                for c in enumerate_connectors(algebra_type(r, m - r)):
+                    w = canonical_basis_word(c)
+                    assert strand_graph(w) == trace_by_events(w), str(w)
+                    count += 1
+        assert count == 873
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
