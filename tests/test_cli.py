@@ -144,6 +144,44 @@ class TestMultiplyAndTransport:
         code, out, err = run_cli(capsys, command, "--r", r, "--s", s, *extra, "--word", "X+(1)")
         assert (code, out, err) == (2, "", "error: strand counts must be nonnegative\n")
 
+    #: Failing products: the label count is checked before the boundaries,
+    #: and both only after each factor parses as a word.
+    MULTIPLY_ERRORS = {
+        "n0": (
+            ("--n", "0", "--left", "v^|v^ : E(1)", "--right", "v^|v^ : E(1)"),
+            "error: label count n must be at least 1, got 0\n",
+        ),
+        "mismatch": (
+            ("--n", "2", "--left", "vv|vv : X+(1)", "--right", "v^|v^ : E(1)"),
+            "error: cannot multiply: bottom of the first differs from top of the second\n",
+        ),
+        "n0-and-mismatch": (
+            ("--n", "0", "--left", "vv|vv : X+(1)", "--right", "v^|v^ : E(1)"),
+            "error: label count n must be at least 1, got 0\n",
+        ),
+        "negative-n-and-mismatch": (
+            ("--n", "-3", "--left", "v^|^v : X+(1)", "--right", "vv|vv : X+(1)"),
+            "error: label count n must be at least 1, got -3\n",
+        ),
+        "generators-left": (
+            ("--n", "2", "--left", "E(1) K(1)", "--right", "v^|v^ : E(1)"),
+            "error: column 1: multiply needs two tangle words with type headers\n",
+        ),
+        "generators-right": (
+            ("--n", "2", "--left", "v^|v^ : E(1)", "--right", "F(1)"),
+            "error: column 1: multiply needs two tangle words with type headers\n",
+        ),
+        "generators-and-n0": (
+            ("--n", "0", "--left", "E(1)", "--right", "vv|vv : X+(1)"),
+            "error: column 1: multiply needs two tangle words with type headers\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", MULTIPLY_ERRORS.values(), ids=MULTIPLY_ERRORS.keys())
+    def test_multiply_error_paths(self, capsys, case):
+        argv, message = case
+        assert run_cli(capsys, "multiply", *argv) == (2, "", message)
+
     def test_flip_swaps_right_of_wall_in_place(self, capsys):
         data = run_json(
             capsys,
