@@ -346,11 +346,14 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
-    left = parse_dsl(args.left)
-    right = parse_dsl(args.right)
+    left, right = parse_dsl(args.left), parse_dsl(args.right)
     if not isinstance(left, TangleWord) or not isinstance(right, TangleWord):
         raise DslError("multiply needs two tangle words with type headers", 0)
-    product = multiply(normalize(left, args.n), normalize(right, args.n))
+    if args.n < 1:
+        raise ValueError(f"label count n must be at least 1, got {args.n}")
+    if left.ty.bottom != right.ty.top:
+        raise ValueError("cannot multiply: bottom of the first differs from top of the second")
+    product = normalize(stack(left, right), args.n)
     _emit(args, product.to_json(), lambda: str(product))
     return 0
 

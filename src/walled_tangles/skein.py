@@ -23,7 +23,7 @@ crossing-minimal diagram of its connector.
 
 Elements of the algebra are exact Laurent combinations of connectors; the
 product of two connectors folds the slices of the second's canonical word
-into the first.
+into the first.  The CLI multiplies two words by one fold of their stack.
 """
 
 from __future__ import annotations

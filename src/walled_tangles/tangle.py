@@ -177,13 +177,13 @@ def apply_slice(level: tuple[Orientation, ...], s: Slice, index: int = 0) -> tup
     raise TypeError(f"not a slice: {s!r}")
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
+@dataclasses.dataclass(init=False, eq=True)
 class TangleWord:
     """A validated slice word together with its boundary type.
 
     Construction simulates the word level by level and rejects any slice
     that does not fit, or a final level that disagrees with the declared
-    bottom boundary.
+    bottom boundary.  Words key memos, so the hash is kept after first use.
     """
 
     ty: TangleType
@@ -211,6 +211,13 @@ class TangleWord:
         """Levels between slices: levels[i] is the level above slices[i],
         levels[-1] is the bottom boundary."""
         return self._levels
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.ty, self.slices))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def replace_slice(self, index: int, replacement: Sequence[Slice]) -> TangleWord:
         """A new word with slices[index] substituted by the given slices."""
@@ -388,7 +395,7 @@ class StrandGeometry:
     loops: tuple[LoopInfo, ...]
     crossings: tuple[CrossingInfo, ...]
 
-    @property
+    @functools.cached_property
     def connector(self) -> Connector:
         return Connector(self.word.ty, zip(self.starts, self.ends))
 

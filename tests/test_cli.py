@@ -4,6 +4,7 @@ validation of every JSON output shape."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -190,6 +191,64 @@ class TestMultiplyAndTransport:
         )
         assert data["type"] == "vv^|vv^"
         assert data["edges"] == [["T1", "B1"], ["T2", "T3"], ["B3", "B2"]]
+
+
+def _bench_workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _element_product_json(n: int, left: str, right: str) -> str:
+    """The oracle: the element product of the two factors' normal forms."""
+    return _json_text(skein.multiply(*(skein.normalize(parse_dsl(f), n) for f in (left, right))).to_json())
+
+
+class TestMultiplyFold:
+    """``multiply`` on the CLI folds the stacked word once; the product of
+    the factors' normal forms is its oracle."""
+
+    WALLED = [(r, m - r) for m in range(2, 5) for r in range(m + 1)]
+
+    def test_short_walled_products_match_the_element_product(self, capsys):
+        walled_word = _bench_workloads()._walled_word
+        rng = random.Random("multiply-fold")
+        pairs = turnbacks = 0
+        while pairs < 320:
+            r, s = rng.choice(self.WALLED)
+            n = rng.choice((1, 2, 3))
+            top = "v" * r + "^" * s
+            left, middle = walled_word(rng, top, rng.randint(1, 4))
+            right, bottom = walled_word(rng, middle, rng.randint(1, 4))
+            left, right = f"{top}|{middle} : {left}", f"{middle}|{bottom} : {right}"
+            if not all(2 <= len(parse_dsl(f).slices) <= 6 for f in (left, right)):
+                continue
+            code, out, err = run_cli(capsys, "multiply", "--n", str(n), "--left", left, "--right", right)
+            assert (code, err) == (0, "")
+            assert out == _element_product_json(n, left, right) + "\n", (n, left, right)
+            pairs += 1
+            turnbacks += "E(" in left + right
+        assert turnbacks >= 100
+
+    #: Seeds of all-down braid pairs on 5 or 6 strands, 12-16 crossings a
+    #: factor, whose product has 10-200 terms (seed 4 draws one of 495).
+    BRAID_SEEDS = (0, 1, 2, 3, 5, 6, 7, 8)
+
+    @pytest.mark.parametrize("seed", BRAID_SEEDS)
+    def test_braid_products_match_the_element_product(self, capsys, seed):
+        rng = random.Random(f"braid-product:{seed}")
+        k = rng.choice((5, 6))
+        left, right = (
+            f"{'v' * k}|{'v' * k} : "
+            + " ".join(f"X{rng.choice('+-')}({rng.randint(1, k - 1)})" for _ in range(rng.randint(12, 16)))
+            for _ in range(2)
+        )
+        code, out, err = run_cli(capsys, "multiply", "--n", "2", "--left", left, "--right", right)
+        assert (code, err) == (0, "")
+        assert 10 <= len(json.loads(out)["terms"]) <= 200
+        assert out == _element_product_json(2, left, right) + "\n"
 
 
 class TestMatrix:

@@ -18,6 +18,7 @@ from walled_tangles.tangle import (
     Max,
     Min,
     SliceError,
+    StrandGeometry,
     Sweep,
     TangleType,
     TangleWord,
@@ -194,6 +195,51 @@ class TestStrandGraph:
         w = random_word(random.Random(seed))
         c = connector_of(w)
         assert len(c.edges) == len(start_vertices(w.ty))
+
+
+class TestMemoKeys:
+    """Words and traced connectors key the skein memos; both are built once
+    per object and agree with a fresh computation."""
+
+    def test_word_routes_hash_and_compare_equal(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            w = random_word(rng)
+            if not w.slices:
+                continue
+            cut = rng.randint(0, len(w.slices))
+            mid = w.levels[cut]
+            upper = TangleWord(TangleType(w.ty.top, mid), w.slices[:cut])
+            lower = TangleWord(TangleType(mid, w.ty.bottom), w.slices[cut:])
+            # A crossing is put back into the word with the other hand.
+            k = rng.randrange(len(w.slices))
+            s = w.slices[k]
+            base = w.with_hand(k, s.hand.flipped()) if isinstance(s, Cross) else w
+            routes = [
+                parse_word(render_word(w), w.ty),
+                stack(upper, lower),
+                base.replace_slice(k, (s,)),
+                TangleWord(w.ty, list(w.slices)),
+            ]
+            for v in routes:
+                assert v == w
+                assert hash(v) == hash(w) == hash((w.ty, w.slices))
+            assert len(set(routes)) == 1
+
+    def test_traced_connector_is_built_once(self):
+        rng = random.Random(2424)
+        for _ in range(60):
+            w = random_word(rng)
+            g = strand_graph(w)
+            assert g.connector is strand_graph(w).connector
+            assert g.connector == Connector(w.ty, zip(g.starts, g.ends))
+
+    def test_traced_connector_keeps_its_validation(self):
+        w = TangleWord(all_down_type(2), [Cross(1, FO)])
+        g = strand_graph(w)
+        broken = StrandGeometry(w, g.starts, (g.ends[0], g.ends[0]), g.strand_writhes, g.loops, g.crossings)
+        with pytest.raises(ValueError, match="end vertex"):
+            broken.connector
 
 
 class TestConnectors:
