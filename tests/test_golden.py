@@ -9,7 +9,10 @@ integer point and the coarser weight classes of the classical points; the
 (divided powers of level two and three, ``K'``, ``qh`` and the empty
 product); the ``matrix --type/--word`` JSON of four seeded words, the first
 with a closed loop; the ``structure-constants`` table of B_{2,1}^2; and the
-``normalize`` and ``multiply`` JSON of thirteen seeded words; and the
+``normalize`` and ``multiply`` JSON of thirteen seeded words; the
+``normalize`` JSON of two 13-crossing all-down braids, on 3 and 4 strands
+like the benchmark's ``braids`` workload, whose coefficients reach 9 and 70;
+and the
 ``hecke-to-walled`` and ``flip`` JSON of two words each; the ``verify
 presentation`` reports of five walled algebras, with no up strands, with no
 down strands, and three with both, at n = 1, 2 and 3; and the ``verify
@@ -32,6 +35,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 from functools import partial
 
 import pytest
@@ -97,6 +101,25 @@ NORMALIZE_CASES = (
     (2, "^^|vv^^^^ : N<(1) X+(3) X+(3) X+(3) X+(3) X-(1) X-(1) N<(2)"),
     (3, "^v^v|^v^vv^ : N>(2) X+(5) X-(1) X-(4) U(2) N<(3) X+(2) X-(3)"),
 )
+
+#: Seed of ``BRAID_NORMALIZE_CASES``: 122 gives the 4-strand braid 23 terms
+#: and a coefficient of 70.
+BRAID_SEED = 122
+
+
+def _braid_cases() -> tuple:
+    """(2, "TYPE : WORD") for a 13-crossing all-down braid on 3 and then 4
+    strands, each crossing's hand and position drawn uniformly, as in the
+    benchmark's ``braids`` workload."""
+    rng = random.Random(BRAID_SEED)
+    cases = []
+    for k in (3, 4):
+        word = " ".join(f"X{'+' if rng.random() < 0.5 else '-'}({rng.randint(1, k - 1)})" for _ in range(13))
+        cases.append((2, f"{'v' * k}|{'v' * k} : {word}"))
+    return tuple(cases)
+
+
+BRAID_NORMALIZE_CASES = _braid_cases()
 
 #: (n, left, right): seeded ``conftest.random_word_pair`` draws; the first
 #: three have a loop crossed by an open strand in one factor.
@@ -190,6 +213,8 @@ def _cases() -> dict:
         cases[f"structure_constants_n{n}_r{r}_s{s}.json"] = partial(_structure_constants, n, r, s)
     for k, (n, text) in enumerate(NORMALIZE_CASES, 1):
         cases[f"normalize_{k:02d}_n{n}.json"] = partial(_normalize, n, text)
+    for k, (n, text) in enumerate(BRAID_NORMALIZE_CASES, 1):
+        cases[f"normalize_braid_{k:02d}_n{n}.json"] = partial(_normalize, n, text)
     for k, (n, left, right) in enumerate(MULTIPLY_CASES, 1):
         cases[f"multiply_{k:02d}_n{n}.json"] = partial(_multiply, n, left, right)
     for r, s, n in PRESENTATION_CASES:
