@@ -44,6 +44,20 @@ class LaurentPoly:
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
     @classmethod
+    def from_exponent_map(cls, coeffs: Mapping[int, int]) -> LaurentPoly:
+        """The polynomial of an ``exponent -> coefficient`` map of ints, such as
+        sums and products of other polynomials' terms: drops zeros and sorts.
+        It skips ``__init__``'s per-entry type checks, which cost more than
+        the arithmetic that built the map, so pass it nothing else.
+
+        >>> LaurentPoly.from_exponent_map({2: 3, 0: 0, -1: 1})
+        LaurentPoly('1*q^-1 + 3*q^2')
+        """
+        poly = object.__new__(cls)
+        poly.terms = tuple(sorted((e, c) for e, c in coeffs.items() if c))
+        return poly
+
+    @classmethod
     def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
         """The single-term polynomial coeff * q^exp.
 
@@ -74,12 +88,12 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return _trusted(acc)
+        return LaurentPoly.from_exponent_map(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return _trusted({e: -c for e, c in self.terms})
+        return LaurentPoly.from_exponent_map({e: -c for e, c in self.terms})
 
     def __sub__(self, other: Union[LaurentPoly, int]) -> LaurentPoly:
         other = _coerce(other)
@@ -108,7 +122,7 @@ class LaurentPoly:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return _trusted(acc)
+        return LaurentPoly.from_exponent_map(acc)
 
     __rmul__ = __mul__
 
@@ -145,15 +159,6 @@ class LaurentPoly:
         LaurentPoly('-1*q^-1 + 1*q^3')
         """
         return cls({int(e): int(c) for e, c in data.items()})
-
-
-def _trusted(acc: dict[int, int]) -> LaurentPoly:
-    """The polynomial of an exponent -> coefficient dict whose entries are
-    ints by construction, as sums and products of the terms of validated
-    polynomials are: drops the zeros and sorts, without ``__init__``'s checks."""
-    poly = object.__new__(LaurentPoly)
-    poly.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
-    return poly
 
 
 def _coerce(value: Union[LaurentPoly, int]) -> LaurentPoly:

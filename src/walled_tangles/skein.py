@@ -9,6 +9,9 @@ costs one dictionary pass per slice, with no deep recursion and no memo
 keyed on a whole word.  The fold is exact because normalizing is an
 algebra map from stacked words to the free module on connectors, and a
 canonical word is descending, so it normalizes to its own connector.
+Inside the fold a coefficient is a plain ``exponent -> int`` map, updated
+in place; ``normalize``, the products and ``structure_constants`` make
+each output coefficient a LaurentPoly once, by ``from_exponent_map``.
 
 Each step is evaluated by the descent engine, which repeatedly applies the
 crossing-switch relation: the difference between the two hands of a
@@ -83,7 +86,8 @@ class TangleElement:
         for connector, coeff in items:
             if connector.ty != ty:
                 raise ValueError("all connectors of an element must share its type")
-            acc[connector] = acc.get(connector, ZERO) + coeff
+            coeff = coeff if isinstance(coeff, LaurentPoly) else ZERO + coeff  # an int, or TypeError
+            acc[connector] = acc[connector] + coeff if connector in acc else coeff
         self.ty = ty
         self.n = n
         self.terms = tuple(sorted(((c, k) for c, k in acc.items() if not k.is_zero()), key=lambda t: t[0].edges))
@@ -230,15 +234,27 @@ def _step(connector: Connector, s: Slice, n: int) -> tuple[tuple[Connector, Laur
     return tuple((c, k) for c, k in acc.items() if not k.is_zero())
 
 
-def _fold(terms: dict[Connector, LaurentPoly], slices: Iterable[Slice], n: int) -> dict[Connector, LaurentPoly]:
-    """Act on a combination of connectors with each slice in turn."""
+def _fold(terms: dict[Connector, dict[int, int]], slices: Iterable[Slice], n: int) -> dict[Connector, dict[int, int]]:
+    """Act on a combination of connectors with each slice in turn.
+
+    Coefficients come in and go out as ``exponent -> int`` maps, and the
+    input's are never modified: each (term, target) pair multiplies into
+    the target's map, and zero entries and empty targets are dropped once
+    per slice.  Callers convert the result once, with ``_polys``."""
     for s in slices:
-        acc: dict[Connector, LaurentPoly] = {}
+        acc: dict[Connector, dict[int, int]] = {}
         for c, k in terms.items():
             for target, coeff in _step(c, s, n):
-                acc[target] = acc.get(target, ZERO) + k * coeff
-        terms = {c: k for c, k in acc.items() if not k.is_zero()}
+                into = acc.setdefault(target, {})
+                for e2, c2 in coeff.terms:
+                    for e1, c1 in k.items():
+                        into[e1 + e2] = into.get(e1 + e2, 0) + c1 * c2
+        terms = {c: kept for c, into in acc.items() if (kept := {e: x for e, x in into.items() if x})}
     return terms
+
+
+def _polys(terms: dict[Connector, dict[int, int]]) -> dict[Connector, LaurentPoly]:
+    return {c: LaurentPoly.from_exponent_map(k) for c, k in terms.items()}
 
 
 def normalize(word: TangleWord, n: int) -> TangleElement:
@@ -257,7 +273,7 @@ def normalize(word: TangleWord, n: int) -> TangleElement:
         raise ValueError(f"label count n must be at least 1, got {n}")
     top = word.ty.top
     identity = connector_of(TangleWord(TangleType(top, top), ()))
-    return TangleElement(word.ty, n, _fold({identity: ONE}, word.slices, n))
+    return TangleElement(word.ty, n, _polys(_fold({identity: {0: 1}}, word.slices, n)))
 
 
 # -- products -----------------------------------------------------------------
@@ -267,8 +283,8 @@ def normalize(word: TangleWord, n: int) -> TangleElement:
 def _connector_product(a: Connector, b: Connector, n: int) -> TangleElement:
     """The first connector with the slices of the second's canonical word
     folded in."""
-    terms = _fold({a: ONE}, canonical_basis_word(b).slices, n)
-    return TangleElement(TangleType(a.ty.top, b.ty.bottom), n, terms)
+    terms = _fold({a: {0: 1}}, canonical_basis_word(b).slices, n)
+    return TangleElement(TangleType(a.ty.top, b.ty.bottom), n, _polys(terms))
 
 
 def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
@@ -277,13 +293,16 @@ def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
         raise ValueError("elements live over different label counts")
     if a.ty.bottom != b.ty.top:
         raise ValueError("cannot multiply: bottom of the first differs from top of the second")
-    acc: dict[Connector, LaurentPoly] = {}
+    acc: dict[Connector, dict[int, int]] = {}
     for ca, ka in a.terms:
         for cb, kb in b.terms:
             scale = ka * kb
             for c, k in _connector_product(ca, cb, a.n).terms:
-                acc[c] = acc.get(c, ZERO) + scale * k
-    return TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n, acc)
+                into = acc.setdefault(c, {})
+                for e2, c2 in k.terms:
+                    for e1, c1 in scale.terms:
+                        into[e1 + e2] = into.get(e1 + e2, 0) + c1 * c2
+    return TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n, _polys(acc))
 
 
 def structure_constants(r: int, s: int, n: int) -> dict:
@@ -308,12 +327,12 @@ def structure_constants(r: int, s: int, n: int) -> dict:
     table = {}
     for c1 in basis:
         folded = {}
-        todo = [(root, {c1: ONE})]
+        todo = [(root, {c1: {0: 1}})]
         while todo:
             (ends, children), terms = todo.pop()
             folded.update((c2, terms) for c2 in ends)
             todo.extend((child, _fold(terms, (step,), n)) for step, child in children.items())
-        table.update(((c1, c2), TangleElement(ty, n, folded[c2])) for c2 in basis)
+        table.update(((c1, c2), TangleElement(ty, n, _polys(folded[c2]))) for c2 in basis)
     return table
 
 

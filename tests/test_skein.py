@@ -56,6 +56,15 @@ def term_map(element: TangleElement) -> dict[frozenset, LaurentPoly]:
     return {frozenset(edge_names(c)): coeff for c, coeff in element.terms}
 
 
+def assert_canonical(element: TangleElement) -> None:
+    """Every coefficient is a nonzero LaurentPoly with no zero entry, in the
+    sorted form that the validating constructor builds from its terms."""
+    for connector, k in element.terms:
+        assert isinstance(k, LaurentPoly) and k.terms, (connector, k)
+        assert all(isinstance(c, int) and c != 0 for _, c in k.terms), (connector, k)
+        assert k == LaurentPoly(dict(k.terms)), (connector, k)
+
+
 class TestNormalize:
     def test_identity_is_single_term(self):
         el = identity_element(2, 1, 3)
@@ -73,9 +82,14 @@ class TestNormalize:
         assert squared == expected
 
     def test_opposite_hands_cancel(self):
+        """X+(1) X-(1) is exactly the identity connector with coefficient ONE."""
         ty = all_down_type(2)
-        el = normalize(TangleWord(ty, [Cross(1, FO), Cross(1, FU)]), 3)
-        assert el == identity_element(2, 0, 3)
+        identity = connector_of(TangleWord(ty, ()))
+        for n in (1, 2, 3):
+            el = normalize(TangleWord(ty, [Cross(1, FO), Cross(1, FU)]), n)
+            assert el == identity_element(2, 0, n)
+            assert el.terms == ((identity, ONE),)
+            assert el.terms[0][1].terms == ((0, 1),)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_loop_value(self, n):
@@ -131,7 +145,9 @@ class TestFold:
         rng = random.Random(15000 + n)
         for _ in range(300):
             word = random_word(rng, max_boundary=4, max_width=6)
-            assert normalize(word, n) == normalize_by_descent(word, n), str(word)
+            folded = normalize(word, n)
+            assert folded == normalize_by_descent(word, n), str(word)
+            assert_canonical(folded)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_products_match_descent_of_the_stack(self, n):
@@ -140,6 +156,7 @@ class TestFold:
             upper, lower = random_word_pair(rng, max_boundary=4, max_width=6)
             product = multiply(normalize(upper, n), normalize(lower, n))
             assert product == normalize_by_descent(stack(upper, lower), n), f"{upper} then {lower}"
+            assert_canonical(product)
 
     @pytest.mark.parametrize("ty", [algebra_type(2, 1), algebra_type(2, 2), TangleType((DOWN, UP), (UP, DOWN, DOWN, UP))])
     def test_canonical_words_normalize_to_their_connector(self, ty):
@@ -182,6 +199,22 @@ class TestElementArithmetic:
     def test_zero_terms_drop(self):
         a = identity_element(1, 1, 2)
         assert not (a - a).terms
+
+    def test_int_coefficients_coerce_and_merge(self):
+        ty = algebra_type(1, 1)
+        c, d = enumerate_connectors(ty)[:2]
+        two = TangleElement(ty, 2, [(c, 2)])
+        assert two == TangleElement(ty, 2, [(c, LaurentPoly.monomial(2, 0))])
+        assert_canonical(two)
+        assert not two.terms[0][1].is_zero()
+        assert TangleElement(ty, 2, [(c, 0)]).terms == ()
+        merged = TangleElement(ty, 2, [(c, 2), (d, Q), (c, 3), (c, Q)])
+        assert merged == TangleElement(ty, 2, {c: LaurentPoly({0: 5, 1: 1}), d: Q})
+        assert_canonical(merged)
+        assert TangleElement(ty, 2, [(c, 2), (c, -2)]).terms == ()
+        assert TangleElement(ty, 2, [(c, Q), (d, 1), (c, -Q)]).terms == ((d, ONE),)
+        with pytest.raises(TypeError):
+            TangleElement(ty, 2, [(c, 1.5)])
 
     def test_scalar_action_both_sides(self):
         a = identity_element(1, 1, 2)
@@ -288,6 +321,8 @@ class TestAlgebraStructure:
         expected = {(a, b): _connector_product(a, b, n) for a in basis for b in basis}
         assert list(table) == list(expected)
         assert table == expected
+        for element in table.values():
+            assert_canonical(element)
 
     def test_multiplication_matches_stacking(self):
         rng = random.Random(7919)
