@@ -6,9 +6,18 @@ module measures both sides exactly: the rank of the span of the basis
 diagram matrices, and the dimension of the space of matrices commuting
 with every generator in a sweep, both at an exact rational specialization
 of q.  Each matrix is specialized to integers over one denominator, which
-no rank depends on, and eliminated fraction-free.  Containment is proved
-identically in q once per elementary slice of the basis words, which by
-functoriality covers every basis matrix (``_first_uncommuting_step``).
+no rank depends on.  Containment is proved identically in q once per
+elementary slice of the basis words, which by functoriality covers every
+basis matrix (``_first_uncommuting_step``).
+
+One eliminator, ``_rank_of_rows``, ranks integer rows over Q, fraction-free,
+or mod a prime p.  Reducing an integer matrix mod p can only lower its
+rank, and the containment sits in between, so
+
+    rank_p(image) <= rank_Q(image) <= dim_Q End_U(M) <= nullity_p(system),
+
+and when the two ends meet, all four are equal.  ``verify_schur_weyl``
+decides the walled ranks this way first, and over Q when the ends differ.
 
 Both sides read one weight per label, ``rep.label_weight``.  The
 commutant's unknowns lie inside the classes on which every K(i) has one
@@ -60,6 +69,10 @@ __all__ = [
 
 VARIABLE_BUDGET = 10_000
 
+#: The prime ``verify_schur_weyl`` decides the walled ranks modulo: 2^30 - 35,
+#: the largest prime below 2^30, so a product of two residues stays below 2^60.
+CHAIN_PRIME = 1073741789
+
 
 class ResourceLimitError(RuntimeError):
     """A commutant or rank job would exceed the configured size budget."""
@@ -68,28 +81,40 @@ class ResourceLimitError(RuntimeError):
 # -- exact linear algebra over the integers -----------------------------------
 
 
-def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
-    """Rank of sparse integer rows by fraction-free elimination.
+def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], p: Optional[int] = None) -> int:
+    """Rank of sparse integer rows over Q, or over F_p given a prime p.
 
-    Each row maps column keys to integers; absent keys are zero.  Rows are
-    divided by their content once.  Columns are eliminated in sorted order:
-    each step picks the sparsest row holding the column as pivot,
-    cross-multiplies it into every other such row and divides out the
-    content, so every intermediate entry stays an exact integer of moderate
-    size and only occupied positions are ever touched.
+    Each row maps column keys to integers; absent keys are zero.  Columns
+    are eliminated in sorted order: each step picks the sparsest row holding
+    the column as pivot and combines it into every other such row, so only
+    occupied positions are ever touched.  The rows passed in are not changed.
+
+    Over Q the elimination is fraction-free.  Rows are divided by their
+    content once; each combination cross-multiplies the two rows and divides
+    out the content, so every intermediate entry stays an exact integer of
+    moderate size.  Mod p every entry is reduced once, the pivot is scaled
+    to a leading 1 by its inverse, and each combination subtracts a multiple
+    of it in place, with no gcd.  Reducing mod p can only lower the rank.
 
     >>> _rank_of_rows([{0: 1, 1: 2}, {0: -3, 1: -6}, {2: 3}])
     2
+    >>> _rank_of_rows([{0: 1, 1: 2}, {0: 3, 1: 13}])
+    2
+    >>> _rank_of_rows([{0: 1, 1: 2}, {0: 3, 1: 13}], p=7)
+    1
     """
     work: dict[int, dict] = {}
     holders: dict[Hashable, set[int]] = {}
     for rid, row in enumerate(rows):
-        ints = {col: value for col, value in row.items() if value}
+        if p is None:
+            ints = {col: value for col, value in row.items() if value}
+            g = gcd(*ints.values())
+            if g > 1:
+                ints = {col: value // g for col, value in ints.items()}
+        else:
+            ints = {col: residue for col, value in row.items() if (residue := value % p)}
         if not ints:
             continue
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {col: value // g for col, value in ints.items()}
         work[rid] = ints
         for col in ints:
             holders.setdefault(col, set()).add(rid)
@@ -103,8 +128,25 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
         for c in pivot:
             holders[c].discard(piv)
         pv = pivot[col]
+        if p is not None:
+            inverse = pow(pv, -1, p)
+            pivot = {c: value * inverse % p for c, value in pivot.items()}
         for rid in list(candidates):
             row = work[rid]
+            if p is not None:
+                b = row[col]
+                for c, value in pivot.items():
+                    entry = (row.get(c, 0) - b * value) % p
+                    if entry:
+                        if c not in row:
+                            holders[c].add(rid)
+                        row[c] = entry
+                    elif c in row:
+                        del row[c]
+                        holders[c].discard(rid)
+                if not row:
+                    del work[rid]
+                continue
             f = gcd(row[col], pv)
             a, b = pv // f, row[col] // f
             reduced = {c: a * value for c, value in row.items()}
@@ -212,7 +254,7 @@ def _weight_classes(
     return list(classes.values())
 
 
-def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
+def image_rank(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
     """Rank of the span of all basis diagram matrices at the specialization.
 
     Each of the (r+s)! connectors is rendered from its canonical basis word
@@ -229,6 +271,9 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     exact rank, and is returned; any smaller one proves nothing, and the
     full rows are ranked.  For n < r + s the faithfulness claim puts the
     rank below (r+s)!, so only the full rows are ranked.
+
+    Given a prime p, the same integer rows are ranked mod p, which gives a
+    lower bound on the rank over Q.
     """
     m = r + s
     _require_budget(factorial(m), "the basis dependency system")
@@ -239,8 +284,11 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
 
     def rank(start=None) -> int:
         return _rank_of_rows(
-            {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
-            for rows, _ in specialized_word_matrices(words, n, q0, start)
+            (
+                {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
+                for rows, _ in specialized_word_matrices(words, n, q0, start)
+            ),
+            p,
         )
 
     if n >= m and rank(set(max(_weight_classes(n, ty.top), key=len))) == len(words):
@@ -248,7 +296,7 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational) -> int:
     return rank()
 
 
-def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
+def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
     """Dimension of the space of matrices commuting with the algebra at q0.
 
     The sweep ``generator_sweep(n)`` is enough.  The specialized E^l is
@@ -266,6 +314,11 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     one row per matrix position it touches, solved by exact elimination;
     the answer is the nullity.  Each A enters as integers over its one
     denominator, which scales its whole system.
+
+    Given a prime p, the same integer system is ranked mod p, which can only
+    lower its rank, so the nullity returned is an upper bound on the
+    dimension over Q.  It is not the commutant over F_p: the classes and the
+    sweep above are the ones proved over Q.
 
     The budget is charged with the blocked unknowns, before E or F is
     rendered or any row is built.  Sorting the labels into classes takes
@@ -299,7 +352,7 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
                 row = system.setdefault((i, right), {})
                 row[t] = row.get(t, 0) - value
         rows.extend(system.values())
-    return len(unknowns) - _rank_of_rows(rows)
+    return len(unknowns) - _rank_of_rows(rows, p)
 
 
 # -- the verification report --------------------------------------------------
@@ -357,18 +410,39 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     at least r + s.  A failed claim is recorded in the report, never raised.
     The duality holds at every invertible q, so the ranks are compared at
     the requested point only, and a mismatch there is a failure.
+
+    The walled ranks are decided mod p = ``CHAIN_PRIME`` first, from the
+    chain
+
+        rank_p(image) <= rank_Q(image) <= dim_Q End_U(M) <= nullity_p(system).
+
+    The image rows and the commutant system are integer matrices, and
+    reducing an integer matrix mod p can only lower its rank: that gives the
+    two outer steps.  The middle step is the commutation claim, which puts
+    the image inside the commutant.  So when that claim holds and the two
+    ends are equal, all four numbers are equal, and the mod-p ones are the
+    exact ranks over Q.  Otherwise both are ranked again over Q, and only
+    that route can report a mismatch.  It is also the only route when p
+    divides q0's numerator or denominator, and for the all-down rank.
     """
     q0 = Fraction(q0)
+    p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
     # The commutant comes first: it refuses an oversized instance before any
     # diagram is rendered or any system eliminated.
     started = time.perf_counter()
-    dim = commutant_dim(n, r, s, q0)
-    rank = image_rank(n, r, s, q0)
+    dim = commutant_dim(n, r, s, q0, p)
+    rank = image_rank(n, r, s, q0, p)
     ranks_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     failure = _first_uncommuting_step(n, r, s)
     commutation_seconds = time.perf_counter() - started
+
+    if p is not None and (failure is not None or rank != dim):
+        started = time.perf_counter()
+        dim = commutant_dim(n, r, s, q0)
+        rank = image_rank(n, r, s, q0)
+        ranks_seconds += time.perf_counter() - started
 
     started = time.perf_counter()
     tangle_ann = factorial(r + s) - rank

@@ -89,6 +89,22 @@ def dense_rank(rows) -> int:
     return rank
 
 
+def dense_rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of dense integer rows, by plain Gaussian elimination
+    on the first row holding each column."""
+    work = [[value % p for value in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((row for row in work if row[col]), None)
+        if pivot is None:
+            continue
+        work.remove(pivot)
+        scale = pow(pivot[col], -1, p)
+        work = [[(x - row[col] * scale * y) % p for x, y in zip(row, pivot)] for row in work]
+        rank += 1
+    return rank
+
+
 def dense_commutant_dim(n: int, r: int, s: int, q0) -> int:
     """Nullity of [X, A_g] = 0 over all n^(2(r+s)) entries of X."""
     boundary = algebra_type(r, s).top

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from conftest import compose_brauer, permutation_words
 from cartan_oracle import rendered_unit_classes
-from dense_commutant import dense_commutant_dim, dense_rank, divided_power_sweep
+from dense_commutant import dense_commutant_dim, dense_rank, dense_rank_mod_p, divided_power_sweep
 from descent_oracle import matrix_by_descent
 from eval_oracle import lp_eval
 
@@ -29,7 +29,7 @@ from walled_tangles.duality import (
     verify_schur_weyl,
 )
 from walled_tangles.laurent import Q, QINV, LaurentPoly
-from walled_tangles.qgroup import gen_on_mixed
+from walled_tangles.qgroup import K, gen_on_mixed
 from walled_tangles.rep import matrix_of_connector, matrix_of_element, matrix_of_word
 from walled_tangles.skein import hecke_to_walled, identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
@@ -86,11 +86,27 @@ class TestRankOfRows:
         rows = random_integer_rows(random.Random(seed), height, width, support)
         assert any(abs(v) > 2**64 for row in rows for v in row.values())
         dense = [[row.get(c, 0) for c in range(width)] for row in rows]
-        assert duality._rank_of_rows(rows) == dense_rank(dense)
+        rank = duality._rank_of_rows(rows)
+        assert rank == dense_rank(dense)
+        for p in (2, 7, duality.CHAIN_PRIME):
+            assert duality._rank_of_rows(rows, p) == dense_rank_mod_p(dense, p) <= rank
 
     def test_empty_and_zero_rows(self):
         assert duality._rank_of_rows([]) == 0
         assert duality._rank_of_rows([{}, {3: 0}]) == 0
+
+    def test_reduction_mod_p_can_lower_the_rank(self):
+        rows = [{0: 1}, {1: 7}]
+        assert duality._rank_of_rows(rows) == 2
+        assert duality._rank_of_rows(rows, p=7) == 1
+        assert duality._rank_of_rows([], 7) == duality._rank_of_rows([{}, {3: 14}, {1: -7}], 7) == 0
+
+    @pytest.mark.parametrize("p", [None, 7, duality.CHAIN_PRIME])
+    def test_rows_passed_in_are_not_changed(self, p):
+        rows = random_integer_rows(random.Random(5), 24, 40, 8)
+        before = [dict(row) for row in rows]
+        duality._rank_of_rows(rows, p)
+        assert rows == before
 
 
 class TestExactRanks:
@@ -198,8 +214,8 @@ class TestWeightRowCertificate:
         ranks = []
         exact = duality._rank_of_rows
 
-        def recorded(rows):
-            ranks.append(exact(rows))
+        def recorded(rows, p=None):
+            ranks.append(exact(rows, p))
             return ranks[-1]
 
         monkeypatch.setattr(duality, "_rank_of_rows", recorded)
@@ -339,8 +355,8 @@ class TestVerifyReport:
     def test_rank_mismatch_fails_at_the_requested_point(self, monkeypatch):
         exact = duality.commutant_dim
 
-        def drops_rank_at_q0(n, r, s, q0):
-            return exact(n, r, s, q0) + (q0 == Q0)
+        def drops_rank_at_q0(n, r, s, q0, p=None):
+            return exact(n, r, s, q0, p) + (q0 == Q0)
 
         monkeypatch.setattr(duality, "commutant_dim", drops_rank_at_q0)
         report = verify_schur_weyl(2, 1, 1, Q0)
@@ -371,6 +387,103 @@ class TestVerifyReport:
         ]
         assert all(isinstance(v, float) for v in data["timingsSeconds"].values())
 
+
+
+def record_primes(monkeypatch) -> list:
+    """Spy on ``_rank_of_rows``: the prime of each call, None over Q."""
+    primes = []
+    exact = duality._rank_of_rows
+
+    def recorded(rows, p=None):
+        primes.append(p)
+        return exact(rows, p)
+
+    monkeypatch.setattr(duality, "_rank_of_rows", recorded)
+    return primes
+
+
+def record_ends(monkeypatch) -> list:
+    """Spy on both walled routes: (name, prime, value) of each call."""
+    ends = []
+    for name in ("commutant_dim", "image_rank"):
+
+        def recorded(n, r, s, q0, p=None, name=name, exact=getattr(duality, name)):
+            ends.append((name, p, exact(n, r, s, q0, p)))
+            return ends[-1][2]
+
+        monkeypatch.setattr(duality, name, recorded)
+    return ends
+
+
+#: The instances of the benchmark's ``duality`` workload, and five more, all with r + s <= 5.
+CHAIN_CASES = [(2, 2, 2), (2, 3, 1), (4, 1, 1), (2, 1, 3), (2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 1, 2), (2, 4, 1)]
+
+
+class TestRankChain:
+    """The walled ranks decided mod ``CHAIN_PRIME``, and the Q fallback."""
+
+    @pytest.mark.parametrize("n,r,s", CHAIN_CASES[:4], ids=str)
+    def test_walled_ranks_stay_mod_p(self, monkeypatch, n, r, s):
+        primes = record_primes(monkeypatch)
+        report = verify_schur_weyl(n, r, s, Q0)
+        assert report.all_pass
+        # The commutant and the image mod p; the all-down rank over Q.
+        assert primes == [duality.CHAIN_PRIME, duality.CHAIN_PRIME, None]
+
+    def test_unlucky_prime_falls_back_to_q(self, monkeypatch):
+        # 5/3 has order 3 mod 7, and the ends of the chain do not meet.
+        monkeypatch.setattr(duality, "CHAIN_PRIME", 7)
+        ends = record_ends(monkeypatch)
+        report = verify_schur_weyl(2, 3, 2, Q0)
+        assert ends[:2] == [("commutant_dim", 7, 43), ("image_rank", 7, 42)]
+        assert ends[2:4] == [("commutant_dim", None, 42), ("image_rank", None, 42)]
+        assert report.all_pass
+        assert (report.image_rank, report.commutant_dim) == (42, 42)
+
+    def test_failed_commutation_claim_falls_back_to_q(self, monkeypatch):
+        # Without the containment the chain proves nothing, even where its ends meet.
+        monkeypatch.setattr(duality, "_first_uncommuting_step", lambda n, r, s: ("a step", "a generator"))
+        ends = record_ends(monkeypatch)
+        report = verify_schur_weyl(2, 2, 2, Q0)
+        p = duality.CHAIN_PRIME
+        assert ends == [
+            ("commutant_dim", p, 14),
+            ("image_rank", p, 14),
+            ("commutant_dim", None, 14),
+            ("image_rank", None, 14),
+            ("image_rank", None, 14),
+        ]
+        assert [claim.holds for claim in report.claims] == [False, True, True, True]
+
+    def test_prime_dividing_q0_goes_straight_to_q(self, monkeypatch):
+        expected = verify_schur_weyl(2, 2, 2, Q0).to_json()
+        monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
+        primes = record_primes(monkeypatch)
+        data = verify_schur_weyl(2, 2, 2, Q0).to_json()
+        assert primes == [None, None, None]
+        assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    def test_cartan_only_sweep_is_a_mismatch_over_q(self, monkeypatch):
+        exact = duality.generator_sweep
+        monkeypatch.setattr(duality, "generator_sweep", lambda n: tuple(g for g in exact(n) if isinstance(g, K)))
+        ends = record_ends(monkeypatch)
+        report = verify_schur_weyl(2, 2, 2, Q0)
+        p = duality.CHAIN_PRIME
+        assert ends[:4] == [("commutant_dim", p, 70), ("image_rank", p, 14), ("commutant_dim", None, 70), ("image_rank", None, 14)]
+        assert not report.all_pass
+        (claim,) = [c for c in report.claims if c.name == "rankMatch"]
+        assert claim.holds is False
+        assert claim.detail == f"image rank 14, commutant dimension 70 at q = {Q0}"
+
+    def test_chain_grid_size(self):
+        assert len(CHAIN_CASES) >= 9 and all(r + s <= 5 for _, r, s in CHAIN_CASES)
+
+    @pytest.mark.parametrize("q0", [Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
+    def test_both_routes_agree(self, n, r, s, q0):
+        p = duality.CHAIN_PRIME
+        assert image_rank(n, r, s, q0, p) == image_rank(n, r, s, q0)
+        assert commutant_dim(n, r, s, q0, p) == commutant_dim(n, r, s, q0)
 
 class TestVanishingCorrespondence:
     def test_kernel_elements_vanish_on_both_sides(self):
