@@ -370,11 +370,8 @@ MATRIX_LABEL_BUDGET = 4096
 def _charge_labels(n: int, width: int) -> None:
     """Refuse a matrix whose widest level has more labels than the budget
     (an invalid n is left for the renderer to reject)."""
-    labels = n**width
-    if n >= 1 and labels > MATRIX_LABEL_BUDGET:
-        raise ResourceLimitError(
-            f"a level of {width} points at n = {n} has {labels} labels, over the budget of {MATRIX_LABEL_BUDGET}"
-        )
+    if n >= 1:
+        ResourceLimitError.check(f"a level of {width} points at n = {n}", n**width, "labels", MATRIX_LABEL_BUDGET)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -406,11 +403,8 @@ TABLE_BUDGET = 14_400
 
 def _cmd_structure_constants(args: argparse.Namespace) -> int:
     ty = algebra_type(args.r, args.s)  # rejects negative strand counts
-    count = factorial(len(ty.top)) ** 2
-    if count > TABLE_BUDGET:
-        raise ResourceLimitError(
-            f"the table at r + s = {len(ty.top)} has {count} products, over the budget of {TABLE_BUDGET}"
-        )
+    m = len(ty.top)
+    ResourceLimitError.check(f"the table at r + s = {m}", factorial(m) ** 2, "products", TABLE_BUDGET)
     table = structure_constants(args.r, args.s, args.n)
     products = [
         {

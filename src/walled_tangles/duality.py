@@ -77,6 +77,12 @@ CHAIN_PRIME = 1073741789
 class ResourceLimitError(RuntimeError):
     """A commutant or rank job would exceed the configured size budget."""
 
+    @classmethod
+    def check(cls, what: str, size: int, unit: str, budget: int) -> None:
+        """Refuse a job of ``size`` units over ``budget``, with one message for every budget."""
+        if size > budget:
+            raise cls(f"{what} has {size} {unit}, over the budget of {budget}")
+
 
 # -- exact linear algebra over the integers -----------------------------------
 
@@ -226,13 +232,6 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     return None
 
 
-def _require_budget(variables: int, what: str) -> None:
-    if variables > VARIABLE_BUDGET:
-        raise ResourceLimitError(
-            f"{what} has {variables} variables, over the budget of {VARIABLE_BUDGET}"
-        )
-
-
 def _weight_classes(
     n: int, boundary: Sequence[Orientation], q0: Optional[Fraction] = None
 ) -> list[list[MultiIndex]]:
@@ -276,7 +275,7 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = Non
     lower bound on the rank over Q.
     """
     m = r + s
-    _require_budget(factorial(m), "the basis dependency system")
+    ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
     ty = algebra_type(r, s)
     index = {label: t for t, label in enumerate(label_tuples(n, m))}
     size = len(index)
@@ -327,9 +326,10 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = 
     is taken.
     """
     boundary = algebra_type(r, s).top
-    _require_budget((n - 1) * n ** (r + s), "the weight signature table")
+    ResourceLimitError.check("the weight signature table", (n - 1) * n ** (r + s), "variables", VARIABLE_BUDGET)
     classes = _weight_classes(n, boundary, Fraction(q0))
-    _require_budget(sum(len(block) ** 2 for block in classes), "the commutant system")
+    unknown_count = sum(len(block) ** 2 for block in classes)
+    ResourceLimitError.check("the commutant system", unknown_count, "variables", VARIABLE_BUDGET)
     unknowns = [(row, col) for block in classes for row in block for col in block]
     rows = []
     for gen in generator_sweep(n):

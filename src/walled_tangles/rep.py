@@ -32,6 +32,7 @@ from .tangle import (
     Orientation,
     Sweep,
     TangleWord,
+    _fold_words,
     apply_slice,
     canonical_basis_word,
     strand_graph,
@@ -290,55 +291,42 @@ def specialized_word_matrices(
 ) -> list[tuple[dict, int]]:
     """Matrices of the words at q = q0, in input order: one (rows, scale)
     pair per word, the matrix being the integers {row: {col: entry}} / scale.
+    All words share one top boundary.
 
     Each distinct (level, slice) pair is specialized once by ``evaluate``,
-    to integers over one denominator, and the words are multiplied
-    depth-first along the trie of their slice prefixes, so a shared prefix
-    is multiplied once and only the products on the current path are held.
-    Exact, because specializing q is a ring homomorphism.
+    to integers over one denominator, and the words are multiplied along
+    their shared slice prefixes by ``tangle._fold_words``.  Exact, because
+    specializing q is a ring homomorphism.
 
     Given ``start``, a set of top labels, the walk starts from the identity
     restricted to those labels, so only those rows are rendered: the output
     is the full output with every other row left out, and costs in
     proportion to the rows kept.
     """
-    paths = [tuple(zip(word.levels, word.slices)) for word in words]
     factors: dict[tuple, tuple[dict, int]] = {}  # (level, slice) -> (rows, denominator)
-    out: list = [None] * len(paths)
 
-    def descend(members: list[int], depth: int, product: dict, scale: int) -> None:
-        children: dict[tuple, list[int]] = {}
-        for w in members:
-            if len(paths[w]) == depth:
-                out[w] = (product, scale)
-            else:
-                children.setdefault(paths[w][depth], []).append(w)
-        for step, group in children.items():
-            if step not in factors:
-                values, den = slice_matrix(n, *step).evaluate(q0)
-                by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
-                for (row, col), v in values.items():
-                    by_row.setdefault(row, {})[col] = v
-                factors[step] = (by_row, den)
-            by_row, den = factors[step]
-            below = {}
-            for i, row in product.items():
-                acc: dict[MultiIndex, int] = {}
-                for j, u in row.items():
-                    for k, v in by_row.get(j, {}).items():
-                        acc[k] = acc.get(k, 0) + u * v
-                if acc := {k: v for k, v in acc.items() if v}:
-                    below[i] = acc
-            descend(group, depth + 1, below, scale * den)
+    def step(value: tuple[dict, int], level: tuple[Orientation, ...], slc) -> tuple[dict, int]:
+        product, scale = value
+        if (level, slc) not in factors:
+            values, den = slice_matrix(n, level, slc).evaluate(q0)
+            by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
+            for (row, col), v in values.items():
+                by_row.setdefault(row, {})[col] = v
+            factors[level, slc] = (by_row, den)
+        by_row, den = factors[level, slc]
+        below = {}
+        for i, row in product.items():
+            acc: dict[MultiIndex, int] = {}
+            for j, u in row.items():
+                for k, v in by_row.get(j, {}).items():
+                    acc[k] = acc.get(k, 0) + u * v
+            if acc := {k: v for k, v in acc.items() if v}:
+                below[i] = acc
+        return below, scale * den
 
-    for top in dict.fromkeys(word.ty.top for word in words):
-        identity = {idx: {idx: 1} for idx in label_tuples(n, len(top)) if start is None or idx in start}
-        descend([w for w, word in enumerate(words) if word.ty.top == top], 0, identity, 1)
-    # descend reaches itself through its closure; left in place, that cycle
-    # keeps the slice factors and every word's product alive past this call,
-    # until a cyclic collection.
-    del descend
-    return out
+    width = len(words[0].ty.top) if words else 0
+    identity = {idx: {idx: 1} for idx in label_tuples(n, width) if start is None or idx in start}
+    return _fold_words(words, (identity, 1), step)
 
 
 # -- connector and element matrices -------------------------------------------

@@ -10,8 +10,8 @@ keyed on a whole word.  The fold is exact because normalizing is an
 algebra map from stacked words to the free module on connectors, and a
 canonical word is descending, so it normalizes to its own connector.
 Inside the fold a coefficient is a plain ``exponent -> int`` map, updated
-in place; ``normalize``, the products and ``structure_constants`` make
-each output coefficient a LaurentPoly once, by ``from_exponent_map``.
+in place; ``normalize``, the connector products and ``structure_constants``
+make each output coefficient a LaurentPoly once, by ``from_exponent_map``.
 
 Each step is evaluated by the descent engine, which repeatedly applies the
 crossing-switch relation: the difference between the two hands of a
@@ -26,7 +26,9 @@ crossing-minimal diagram of its connector.
 
 Elements of the algebra are exact Laurent combinations of connectors; the
 product of two connectors folds the slices of the second's canonical word
-into the first.  The CLI multiplies two words by one fold of their stack.
+into the first, and ``structure_constants`` folds every first connector
+down all the basis words in one walk of ``tangle._fold_words``.  The CLI
+multiplies two words by one fold of their stack.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .tangle import (
     Sweep,
     TangleType,
     TangleWord,
+    _fold_words,
     algebra_type,
     all_down_type,
     apply_slice,
@@ -293,47 +296,30 @@ def multiply(a: TangleElement, b: TangleElement) -> TangleElement:
         raise ValueError("elements live over different label counts")
     if a.ty.bottom != b.ty.top:
         raise ValueError("cannot multiply: bottom of the first differs from top of the second")
-    acc: dict[Connector, dict[int, int]] = {}
-    for ca, ka in a.terms:
-        for cb, kb in b.terms:
-            scale = ka * kb
-            for c, k in _connector_product(ca, cb, a.n).terms:
-                into = acc.setdefault(c, {})
-                for e2, c2 in k.terms:
-                    for e1, c1 in scale.terms:
-                        into[e1 + e2] = into.get(e1 + e2, 0) + c1 * c2
-    return TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n, _polys(acc))
+    terms = (
+        (c, ka * kb * k) for ca, ka in a.terms for cb, kb in b.terms for c, k in _connector_product(ca, cb, a.n).terms
+    )
+    return TangleElement(TangleType(a.ty.top, b.ty.bottom), a.n, terms)
 
 
 def structure_constants(r: int, s: int, n: int) -> dict:
     """All pairwise products of basis connectors of the walled type, keyed
     (first, second) with both running in basis order.
 
-    Each first connector is folded down the trie of the second factors'
-    canonical words, depth first, so a prefix that several words share is
-    folded once per first connector instead of once per pair.  Every entry
-    equals ``_connector_product`` of its pair, since a fold acts one slice
-    at a time.
+    One ``tangle._fold_words`` walk over the second factors' canonical words
+    folds every first connector at once, so a prefix that several words
+    share is folded once per first connector instead of once per pair.
+    Every entry equals ``_connector_product`` of its pair, since a fold acts
+    one slice at a time.
     """
     ty = algebra_type(r, s)
     basis = enumerate_connectors(ty)
-    # A trie node is (the connectors whose word ends there, {slice: child}).
-    root: tuple[list, dict] = ([], {})
-    for c2 in basis:
-        node = root
-        for step in canonical_basis_word(c2).slices:
-            node = node[1].setdefault(step, ([], {}))
-        node[0].append(c2)
-    table = {}
-    for c1 in basis:
-        folded = {}
-        todo = [(root, {c1: {0: 1}})]
-        while todo:
-            (ends, children), terms = todo.pop()
-            folded.update((c2, terms) for c2 in ends)
-            todo.extend((child, _fold(terms, (step,), n)) for step, child in children.items())
-        table.update(((c1, c2), TangleElement(ty, n, _polys(folded[c2]))) for c2 in basis)
-    return table
+    blocks = _fold_words(
+        [canonical_basis_word(c2) for c2 in basis],
+        {c1: {c1: {0: 1}} for c1 in basis},
+        lambda block, level, slc: {c1: _fold(terms, (slc,), n) for c1, terms in block.items()},
+    )
+    return {(c1, c2): TangleElement(ty, n, _polys(block[c1])) for c1 in basis for c2, block in zip(basis, blocks)}
 
 
 # -- presentation of the walled algebra by generators -------------------------

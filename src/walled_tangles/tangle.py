@@ -27,7 +27,8 @@ sets each crossing's hand as it emits it: the strand with the earlier start
 This module knows nothing about coefficients: it provides the combinatorial
 layer (validation, strand tracing, connectors, canonical diagram for a
 connector, and the textual word syntax) that the skein and matrix layers
-build on.
+build on, and the one walk, ``_fold_words``, by which both fold many words
+at once, sharing the work of their common prefixes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import enum
 import functools
 import itertools
 import re
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 class Orientation(enum.Enum):
@@ -248,6 +249,32 @@ def stack(upper: TangleWord, lower: TangleWord) -> TangleWord:
 def shifted_slices(slices: Iterable[Slice], offset: int) -> tuple[Slice, ...]:
     """The same slices with every position moved right by ``offset``."""
     return tuple(dataclasses.replace(s, pos=s.pos + offset) for s in slices)
+
+
+def _fold_words(words: Sequence[TangleWord], start, step: Callable) -> list:
+    """Fold ``start`` down each word's slices by ``step(value, level, slice)``;
+    the results come in input order, and an empty word gets ``start``.
+
+    The walk goes depth first along the trie of the words' (level, slice)
+    prefixes, on an explicit stack: each distinct prefix is stepped once,
+    and only the values on the current path are held.
+    """
+    paths = [tuple(zip(word.levels, word.slices)) for word in words]
+    out = [start] * len(paths)
+    # Each entry is (the words below one prefix, its length, the value above its last slice).
+    todo = [(range(len(paths)), 0, start)]
+    while todo:
+        members, depth, value = todo.pop()
+        if depth:
+            value = step(value, *paths[members[0]][depth - 1])
+        children: dict[tuple, list[int]] = {}
+        for w in members:
+            if len(paths[w]) == depth:
+                out[w] = value
+            else:
+                children.setdefault(paths[w][depth], []).append(w)
+        todo.extend((group, depth + 1, value) for group in reversed(children.values()))
+    return out
 
 
 # -- boundary vertices and connectors ----------------------------------------

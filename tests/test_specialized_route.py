@@ -14,6 +14,7 @@ from descent_oracle import matrix_by_descent
 
 from walled_tangles.duality import _weight_classes, image_rank
 from walled_tangles.rep import label_tuples, specialized_word_matrices
+from walled_tangles.skein import structure_constants
 from walled_tangles.tangle import algebra_type, canonical_basis_word, enumerate_connectors
 
 POINTS = (Fraction(5, 3), Fraction(-5, 3), Fraction(2), Fraction(1), Fraction(-1))
@@ -56,6 +57,8 @@ def test_rendering_leaves_no_reference_cycle():
     gc.disable()
     try:
         specialized_word_matrices(words, 2, Fraction(5, 3))
+        assert gc.collect() == 0
+        structure_constants(2, 1, 2)
         assert gc.collect() == 0
     finally:
         gc.enable()

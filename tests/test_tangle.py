@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import functools
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from walled_tangles.tangle import (
     Sweep,
     TangleType,
     TangleWord,
+    _fold_words,
     algebra_type,
     all_down_type,
     canonical_basis_word,
@@ -262,6 +264,51 @@ class TestConnectors:
         assert ident.is_totally_propagating()
         turn = Connector(algebra_type(1, 1), [(("T", 1), ("T", 2)), (("B", 2), ("B", 1))])
         assert not turn.is_totally_propagating()
+
+
+class TestFoldWords:
+    """The prefix-sharing walk that renders the basis matrices and folds the
+    structure constants."""
+
+    @staticmethod
+    def counted_fold(words, start):
+        calls = []
+
+        def step(value, level, s):
+            calls.append((level, s))
+            return value + ((level, s),)
+
+        return _fold_words(words, start, step), calls
+
+    @staticmethod
+    def plain_fold(word, start):
+        return functools.reduce(lambda value, pair: value + (pair,), zip(word.levels, word.slices), start)
+
+    @staticmethod
+    def distinct_prefixes(words):
+        paths = [tuple(zip(w.levels, w.slices)) for w in words]
+        return {path[:k] for path in paths for k in range(1, len(path) + 1)}
+
+    @pytest.mark.parametrize("r,s,prefixes", [(3, 2, 234), (2, 2, 39)])
+    def test_each_prefix_is_stepped_once(self, r, s, prefixes):
+        words = [canonical_basis_word(c) for c in enumerate_connectors(algebra_type(r, s))]
+        out, calls = self.counted_fold(words, ())
+        assert out == [self.plain_fold(w, ()) for w in words]
+        assert len(calls) == len(self.distinct_prefixes(words)) == prefixes
+
+    def test_input_order_with_duplicate_and_empty_words(self):
+        ty = algebra_type(2, 2)
+        basis = [canonical_basis_word(c) for c in enumerate_connectors(ty)]
+        empty = TangleWord(ty, [])
+        words = [basis[5], empty, basis[3], basis[5], empty, basis[0], basis[3]]
+        start = ("start",)
+        out, calls = self.counted_fold(words, start)
+        assert out == [self.plain_fold(w, start) for w in words]
+        assert out[1] is start and out[4] is start
+        assert len(calls) == len(self.distinct_prefixes(words))
+
+    def test_no_words(self):
+        assert self.counted_fold([], ()) == ([], [])
 
 
 def boundary_circle_positions(ty: TangleType) -> dict:
