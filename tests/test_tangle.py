@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import random
 import functools
+import random
 from itertools import combinations
 
 import pytest
