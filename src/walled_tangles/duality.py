@@ -19,9 +19,9 @@ rank, and the containment sits in between, so
 and when the two ends meet, all four are equal.  ``verify_schur_weyl``
 decides the walled ranks this way first, and over Q when the ends differ.
 
-Both sides read one weight per label, ``rep.label_weight``.  The
-commutant's unknowns lie inside the classes on which every K(i) has one
-eigenvalue, read off the weights with no unit rendered.  When n >= r + s
+Both sides read one weight per label, ``rep.label_weight``, and the
+commutant's unknowns lie inside the weight spaces at every nonzero rational
+q0, q0 = +-1 included (``commutant_dim`` says why).  When n >= r + s
 the image rank is first certified from the rows of the most populous
 weight space, rendered alone.  Dropping rows can only lower a rank, and
 the (r+s)! basis matrices bound it from above, so a restricted rank of
@@ -232,24 +232,19 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     return None
 
 
-def _weight_classes(
-    n: int, boundary: Sequence[Orientation], q0: Optional[Fraction] = None
-) -> list[list[MultiIndex]]:
-    """The labels of the boundary grouped in one pass by their weight w
-    (``rep.label_weight``), or, given q0, by the eigenvalues q0^(w_i -
-    w_(i+1)) of the units K(i) that the weight determines.
+def _weight_classes(n: int, boundary: Sequence[Orientation]) -> list[list[MultiIndex]]:
+    """The weight spaces of the boundary: its labels grouped in one pass by
+    their weight (``rep.label_weight``), classes in the order of their
+    first label, each in label order.
 
-    Classes come in the order of their first label, each in label order.
-    Away from q = 1 and q = -1 the eigenvalue classes are the weight spaces;
-    at those classical points the eigenvalues coincide more often and the
-    classes coarsen, down to a single class at q = 1.
+    A matrix commuting with E(i) and F(i) commutes with E(i)F(i) - F(i)E(i),
+    which acts on a label of weight w by [w_i - w_(i+1)].  k -> [k] is
+    injective at every nonzero rational q0, q0 = +-1 included, so such a
+    matrix preserves every weight space (``commutant_dim``).
     """
-    classes: dict[tuple, list[MultiIndex]] = {}
+    classes: dict[tuple[int, ...], list[MultiIndex]] = {}
     for label in label_tuples(n, len(boundary)):
-        weight = label_weight(n, boundary, label)
-        if q0 is not None:
-            weight = tuple(q0 ** (weight[i] - weight[i + 1]) for i in range(n - 1))
-        classes.setdefault(weight, []).append(label)
+        classes.setdefault(label_weight(n, boundary, label), []).append(label)
     return list(classes.values())
 
 
@@ -298,36 +293,40 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = Non
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
     """Dimension of the space of matrices commuting with the algebra at q0.
 
-    The sweep ``generator_sweep(n)`` is enough.  The specialized E^l is
-    [l]! times the specialized E^(l), and [l]! is nonzero at every nonzero
-    rational q0: away from +-1, [k] = 0 would need q0^(2k) = 1, and at
-    q0 = +-1, [k] is +-k.  So a matrix commuting with E commutes with every
-    E^(l), and likewise F^(l).
+    At every nonzero rational q0, k -> [k] is injective on the integers:
+    for q0 > 0, q0 != 1, it is strictly increasing; for q0 < 0 it only
+    picks up the sign (-1)^(k+1) of [k] at -q0; at q0 = +-1 it is k or
+    (-1)^(k+1) k.  So [l]! != 0, and as the specialized E^l is [l]! E^(l),
+    a matrix commuting with E commutes with every E^(l), likewise F^(l):
+    the sweep ``generator_sweep(n)`` is enough.
 
-    K(i) acts on a label of weight w by q0^(w_i - w_(i+1)), so commuting
-    with the Cartan units confines the unknown matrix to the blocks of one
-    eigenvalue class each, and only the entries inside a class are
-    unknowns.  The classes are read off the weights; no K is rendered, and
-    K'(i), with the inverse eigenvalues, splits no class.  The raising and
-    lowering generators then give the sparse homogeneous system [X, A] = 0,
-    one row per matrix position it touches, solved by exact elimination;
-    the answer is the nullity.  Each A enters as integers over its one
+    A matrix X commuting with E(i) and F(i) commutes with E(i)F(i) -
+    F(i)E(i), which acts on a label of weight w (``rep.label_weight``) by
+    [w_i - w_(i+1)] (Jantzen, Lectures on Quantum Groups, 1996, section 4),
+    so X keeps apart labels with different w_i - w_(i+1).  Every weight
+    sums to r - s, so those n - 1 differences fix it: X preserves every
+    weight space, and only the entries inside one (``_weight_classes``)
+    are unknowns.  K(i) and K'(i) are scalar on each weight space and add
+    no row; E(i) and F(i) give the sparse homogeneous system [X, A] = 0,
+    one row per matrix position it touches, solved by exact elimination,
+    and the answer is its nullity.  Each A enters as integers over its one
     denominator, which scales its whole system.
 
     Given a prime p, the same integer system is ranked mod p, which can only
     lower its rank, so the nullity returned is an upper bound on the
-    dimension over Q.  It is not the commutant over F_p: the classes and the
-    sweep above are the ones proved over Q.
+    dimension over Q.  It is not the commutant over F_p: the argument above
+    needs [k] != 0, and over F_p [k] vanishes when q0 is a root of unity
+    (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35 (1990)).
 
     The budget is charged with the blocked unknowns, before E or F is
-    rendered or any row is built.  Sorting the labels into classes takes
-    the n - 1 eigenvalues of every label; an instance with more of those
-    than the budget is charged with them instead, and refused before any
-    is taken.
+    rendered or any row is built.  Sorting the labels into weight spaces
+    reads the weight of every label, fixed by its n - 1 differences; an
+    instance with more of those than the budget is charged with them
+    instead, and refused before any weight is read.
     """
     boundary = algebra_type(r, s).top
     ResourceLimitError.check("the weight signature table", (n - 1) * n ** (r + s), "variables", VARIABLE_BUDGET)
-    classes = _weight_classes(n, boundary, Fraction(q0))
+    classes = _weight_classes(n, boundary)
     unknown_count = sum(len(block) ** 2 for block in classes)
     ResourceLimitError.check("the commutant system", unknown_count, "variables", VARIABLE_BUDGET)
     unknowns = [(row, col) for block in classes for row in block for col in block]

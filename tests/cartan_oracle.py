@@ -1,9 +1,12 @@
-"""Reference for the commutant's eigenvalue classes.
+"""Reference for the commutant's weight blocks: the Cartan eigenvalue classes.
 
 Renders every Cartan unit K(i) on all labels of a boundary, specializes it
 at q0, checks that it is diagonal, and groups the labels by their
-eigenvalues.  ``walled_tangles.duality`` reads the same classes off the
-label weights instead, with no unit rendered; the tests compare the two.
+eigenvalues.  ``walled_tangles.duality`` blocks by the label weights
+instead, with no unit rendered.  Away from q0 = +-1 the two groupings are
+equal, and the tests compare them; at q0 = +-1 eigenvalues of different
+weights coincide, and the tests check that every weight space lies inside
+one eigenvalue class.
 The units come from the recursive coproduct of ``coproduct_oracle``, so
 the comparison rests on neither ``rep.label_weight`` nor the closed-form
 action of ``walled_tangles.qgroup``.

@@ -28,9 +28,9 @@ from walled_tangles.duality import (
     image_rank,
     verify_schur_weyl,
 )
-from walled_tangles.laurent import Q, QINV, LaurentPoly
-from walled_tangles.qgroup import K, gen_on_mixed
-from walled_tangles.rep import matrix_of_connector, matrix_of_element, matrix_of_word
+from walled_tangles.laurent import Q, QINV, LaurentPoly, quantum_int
+from walled_tangles.qgroup import E, F, K, gen_on_mixed
+from walled_tangles.rep import label_tuples, label_weight, matrix_of_connector, matrix_of_element, matrix_of_word
 from walled_tangles.skein import hecke_to_walled, identity_element, normalize, structure_constants
 from walled_tangles.tangle import (
     DOWN,
@@ -141,7 +141,7 @@ class TestExactRanks:
 
     @pytest.mark.parametrize("n,r,s,dim", [(3, 2, 1, 6), (2, 3, 2, 42), (3, 2, 2, 23)])
     def test_frozen_larger_instances(self, n, r, s, dim):
-        # q0 = +-1: the K-classes coarsen, and the level-1 sweep rests on [l] = +-l.
+        # q0 = +-1: the weight blocks rest on [k] = k or (-1)^(k+1) k, and the level-1 sweep on [l]! != 0.
         for q0 in (Q0, Fraction(1), Fraction(-1)):
             assert commutant_dim(n, r, s, q0) == dim
             assert image_rank(n, r, s, q0) == dim
@@ -162,6 +162,19 @@ class TestExactRanks:
         with pytest.raises(ResourceLimitError, match="70 variables"):
             commutant_dim(2, 2, 2, Q0)
 
+    @pytest.mark.parametrize("q0", [Fraction(1), Fraction(-1)], ids=str)
+    def test_classical_points_pass_on_the_weight_blocks(self, q0):
+        report = verify_schur_weyl(4, 2, 2, q0)
+        assert report.image_rank == report.commutant_dim == 24
+        assert report.all_pass
+
+    def test_classical_points_are_charged_the_weight_blocks(self, monkeypatch):
+        # (4, 2, 2) has 2716 unknowns at every q0, q0 = +-1 included.
+        monkeypatch.setattr(duality, "VARIABLE_BUDGET", 2715)
+        for q0 in (Q0, Fraction(1), Fraction(-1)):
+            with pytest.raises(ResourceLimitError, match="2716 variables"):
+                commutant_dim(4, 2, 2, q0)
+
     def test_refused_instance_renders_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("rendered or eliminated before the budget check")
@@ -172,7 +185,7 @@ class TestExactRanks:
         # The classes are read off the label weights: no generator is rendered, not even K.
         with pytest.raises(ResourceLimitError, match="31504 variables"):
             verify_schur_weyl(4, 3, 2, Q0)
-        # Past the budget in K(i) eigenvalues, not even a weight is taken.
+        # Past the budget in the label-weight table, not one label's weight is read.
         monkeypatch.setattr(duality, "label_weight", forbidden)
         with pytest.raises(ResourceLimitError, match="weight signature"):
             verify_schur_weyl(100, 1, 1, Q0)
@@ -266,8 +279,48 @@ class TestEigenvalueClasses:
     @pytest.mark.parametrize("n,r,s", CLASS_CASES, ids=str)
     def test_weight_classes_match_the_rendered_units(self, n, r, s):
         boundary = algebra_type(r, s).top
+        classes = duality._weight_classes(n, boundary)
         for q0 in CLASS_POINTS:
-            assert duality._weight_classes(n, boundary, q0) == rendered_unit_classes(n, boundary, q0)
+            rendered = rendered_unit_classes(n, boundary, q0)
+            if abs(q0) != 1:
+                assert classes == rendered
+                continue
+            # At q0 = +-1 eigenvalues of different weights coincide: every weight
+            # space lies inside one rendered class, and together they cover each label once.
+            class_of = {label: t for t, block in enumerate(rendered) for label in block}
+            assert all(len({class_of[label] for label in block}) == 1 for block in classes)
+            assert sorted(label for block in classes for label in block) == sorted(class_of)
+
+
+def signed_quantum_int(k: int) -> LaurentPoly:
+    """[k] for every integer k, with [-k] = -[k]."""
+    return quantum_int(k) if k >= 0 else -quantum_int(-k)
+
+
+#: Every (n, r, s, i) with n <= 4, 1 <= r + s <= 4 and 1 <= i < n.
+COMMUTATOR_CASES = [(n, r, m - r, i) for n in range(2, 5) for m in range(1, 5) for r in range(m + 1) for i in range(1, n)]
+
+
+class TestWeightBlocks:
+    """The lemma behind the commutant's weight blocks at every q0."""
+
+    def test_commutator_grid_size(self):
+        assert len(COMMUTATOR_CASES) == 84
+
+    @pytest.mark.parametrize("n,r,s,i", COMMUTATOR_CASES, ids=str)
+    def test_commutator_of_e_and_f_is_the_weight_quantum_integer(self, n, r, s, i):
+        boundary = algebra_type(r, s).top
+        e, f = gen_on_mixed(E(i), boundary, n), gen_on_mixed(F(i), boundary, n)
+        # matmul applies its left factor first, so this difference is F E - E F: the sign flips.
+        diagonal = {}
+        for label in label_tuples(n, r + s):
+            weight = label_weight(n, boundary, label)
+            diagonal[label, label] = -signed_quantum_int(weight[i - 1] - weight[i])
+        assert e.matmul(f) - f.matmul(e) == rep.OperatorMatrix(n, boundary, boundary, diagonal)
+        # The blocks need k -> [k] injective on every difference a weight can show.
+        for q0 in (Q0, -Q0, Fraction(2), Fraction(1), Fraction(-1)):
+            values = {lp_eval(signed_quantum_int(k), q0) for k in range(-(r + s), r + s + 1)}
+            assert len(values) == 2 * (r + s) + 1
 
 
 class TestSymbolicCommutation:
