@@ -10,22 +10,30 @@ no rank depends on.  Containment is proved identically in q once per
 elementary slice of the basis words, which by functoriality covers every
 basis matrix (``_first_uncommuting_step``).
 
-One eliminator, ``_rank_of_rows``, ranks integer rows over Q, fraction-free,
-or mod a prime p.  Reducing an integer matrix mod p can only lower its
-rank, and the containment sits in between, so
+``_rank_of_rows`` ranks integer rows over Q, fraction-free, or mod a prime
+p.  Reducing an integer matrix mod p can only lower its rank, and the
+containment sits in between, so
 
     rank_p(image) <= rank_Q(image) <= dim_Q End_U(M) <= nullity_p(system),
 
 and when the two ends meet, all four are equal.  ``verify_schur_weyl``
-decides the walled ranks this way first, and over Q when the ends differ.
+decides the ranks this way first, and over Q when the ends differ.
+
+Every image rank follows one rule.  Its lower end is the rank mod p of the
+rows of the most populous weight space alone, taken in a fixed seeded order
+by ``_rank_up_to``, which stops as soon as the rank reaches a proved upper
+end.  Leaving rows out of every matrix is a linear map on their span, so it
+can only lower the rank.  The upper ends are (r+s)! when n >= r + s, which
+the (r+s)! basis matrices give with no certificate; nullity_p of the
+blocked system for the walled rank; and for the all-down rank behind
+``annihilatorMatch``, the RSK count ``_rsk_count``, by quantum Schur-Weyl
+duality (``verify_schur_weyl`` says why).  When the ends do not meet, every
+row is ranked, and then the rank is taken over Q.  The row order decides
+only how soon the elimination stops, never what is reported.
 
 Both sides read one weight per label, ``rep.label_weight``, and the
 commutant's unknowns lie inside the weight spaces at every nonzero rational
-q0, q0 = +-1 included (``commutant_dim`` says why).  When n >= r + s
-the image rank is first certified from the rows of the most populous
-weight space, rendered alone.  Dropping rows can only lower a rank, and
-the (r+s)! basis matrices bound it from above, so a restricted rank of
-(r+s)! is exact; otherwise every row is ranked.
+q0, q0 = +-1 included (``commutant_dim`` says why).
 
 The bridge to the one-wall-free picture is the strand-bending transport
 ``skein.hecke_to_walled``; its classical shadow at q = 1, kept here, is the
@@ -35,14 +43,15 @@ flip that exchanges top and bottom vertices on one side of the wall.
 from __future__ import annotations
 
 import dataclasses
+import random
 import time
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from math import factorial, gcd, prod
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
-from .rep import MultiIndex, label_tuples, label_weight, slice_matrix, specialized_word_matrices
+from .rep import MultiIndex, OperatorMatrix, label_tuples, label_weight, slice_matrix, specialized_word_matrices
 from .tangle import (
     Connector,
     Max,
@@ -51,7 +60,6 @@ from .tangle import (
     TangleWord,
     algebra_type,
     all_down_type,
-    apply_slice,
     canonical_basis_word,
     enumerate_connectors,
     render_type,
@@ -69,9 +77,15 @@ __all__ = [
 
 VARIABLE_BUDGET = 10_000
 
-#: The prime ``verify_schur_weyl`` decides the walled ranks modulo: 2^30 - 35,
+#: The prime ``verify_schur_weyl`` decides the ranks modulo: 2^30 - 35,
 #: the largest prime below 2^30, so a product of two residues stays below 2^60.
 CHAIN_PRIME = 1073741789
+
+#: Seed of the order in which ``image_rank`` takes the weight-space rows.  It
+#: decides only how many rows are ranked before the rank meets its upper
+#: end: in basis order the first rows are nearly dependent, and at (2, 3, 3)
+#: 601 of 720 rows are needed where the shuffled order needs 132.
+ROW_ORDER_SEED = 1
 
 
 class ResourceLimitError(RuntimeError):
@@ -176,6 +190,85 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], p: Optional[int] = Non
     return rank
 
 
+def _rank_up_to(rows: Iterable[Mapping[Hashable, int]], p: int, bound: int) -> int:
+    """Rank mod the prime p of the rows taken in order, stopped as soon as it
+    reaches ``bound``: no row after that one is read.
+
+    Each row is reduced mod p and packed into one int, one slot of ``width``
+    bits per column, so that every step below is a big-integer operation
+    over the whole row.  A row is reduced against the pivots in the order
+    they were found, each with a leading 1 and every entry below p: a pivot
+    whose column holds e in the row is added (p - e) times, which clears
+    that column mod p and adds less than p^2 to every slot.  There are fewer
+    than ``bound`` pivots, so no slot outgrows its width.  Then every slot
+    is reduced mod p at once (``reduced``); a row with a nonzero slot left
+    becomes a pivot, scaled to a leading 1 at its lowest one.
+
+    >>> _rank_up_to([{0: 1, 1: 2}, {0: 3, 1: 13}, {2: 1}], 7, 3)
+    2
+    >>> _rank_up_to([{0: 1}, {1: 1}, {2: 1}], 7, 2)
+    2
+    """
+    k = p.bit_length()
+    nbytes = (2 * k + bound.bit_length() + 8) // 8
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    slots: dict[Hashable, int] = {}
+    pivots: list[tuple[int, int]] = []  # (bit offset of the leading slot, packed row)
+
+    def reduced(packed: int) -> int:
+        """Every slot reduced mod p.  As 2^k = c mod p, the bits of each slot
+        above the k-th fold back onto its low k bits times c, which shrinks
+        the slot until it is below 2^k <= 2p; then p comes off every slot
+        that still holds p or more."""
+        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(slots), "little")
+        c = (1 << k) % p
+        while high := packed >> k & ones * ((1 << width - k) - 1):
+            packed = (packed & ones * ((1 << k) - 1)) + c * high
+        return packed - ((packed + ones * ((1 << k) - p)) >> k & ones) * p
+
+    for row in rows if bound > 0 else ():
+        residues = {slots.setdefault(col, len(slots)): residue for col, value in row.items() if (residue := value % p)}
+        data = bytearray(nbytes * len(slots))
+        for slot, residue in residues.items():
+            data[slot * nbytes : (slot + 1) * nbytes] = residue.to_bytes(nbytes, "little")
+        packed = int.from_bytes(data, "little")
+        for offset, pivot in pivots:
+            if e := (packed >> offset & mask) % p:
+                packed += (p - e) * pivot
+        if packed := reduced(packed):
+            lead = ((packed & -packed).bit_length() - 1) // width * width
+            pivots.append((lead, reduced(packed * pow(packed >> lead & mask, -1, p))))
+            if len(pivots) == bound:
+                break
+    return len(pivots)
+
+
+def _rsk_count(n: int, m: int) -> int:
+    """The sum of (f^lambda)^2 over the partitions lambda of m with at most
+    n rows, each f^lambda by the hook length formula.  By RSK it counts the
+    permutations of m whose longest decreasing subsequence has at most n
+    terms, and it is dim End_U(V^(x)m) (``verify_schur_weyl``).
+
+    >>> [_rsk_count(2, m) for m in range(1, 7)]
+    [1, 2, 5, 14, 42, 132]
+    """
+
+    def partitions(rest: int, largest: int, rows: int):
+        if rest == 0:
+            yield ()
+        elif rows:
+            for part in range(min(rest, largest), 0, -1):
+                for tail in partitions(rest - part, part, rows - 1):
+                    yield (part,) + tail
+
+    total = 0
+    for shape in partitions(m, m, n):
+        columns = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+        hooks = prod(part - j + columns[j] - i - 1 for i, part in enumerate(shape) for j in range(part))
+        total += (factorial(m) // hooks) ** 2
+    return total
+
+
 # -- the two sides of the duality ---------------------------------------------
 
 
@@ -192,19 +285,25 @@ def generator_sweep(n: int) -> tuple[UGenerator, ...]:
     return tuple(gens)
 
 
-def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord, UGenerator]]:
+def _first_uncommuting_step(
+    n: int, r: int, s: int, all_down: bool = False
+) -> Optional[tuple[TangleWord, UGenerator]]:
     """Symbolic proof that every basis matrix commutes with the whole algebra.
 
     The basis matrices are the products of the slice matrices of the
-    canonical basis words, the words ``image_rank`` specializes.  A slice
-    matrix is a local block (a crossing on 2 points, a valley from 2 points
-    to none, a peak from none to 2) tensored with identities.  Each distinct
-    local step is checked exactly in q against ``generator_sweep(n)``.  The
-    comultiplication puts only E, F and powers of K on the block's legs, so
-    ``id ⊗ block ⊗ id`` intertwines the sweep on any number of points, and
-    so does every product of slice matrices.  This is the functoriality
-    argument of Reshetikhin and Turaev, "Ribbon graphs and their invariants
-    derived from quantum groups", Comm. Math. Phys. 127 (1990).
+    canonical basis words, the words ``image_rank`` specializes: those of
+    the walled type (r, s), and with ``all_down`` those of the all-down type
+    on r + s points too.  A slice matrix is a local block (a crossing on 2
+    points, a valley from 2 points to none, a peak from none to 2) tensored
+    with identities.  The local steps of all the words are collected once,
+    keyed by the points the slice touches and the slice moved to position 1,
+    and each distinct one is checked exactly in q against
+    ``generator_sweep(n)``.  The comultiplication puts only E, F and powers
+    of K on the block's legs, so ``id ⊗ block ⊗ id`` intertwines the sweep
+    on any number of points, and so does every product of slice matrices.
+    This is the functoriality argument of Reshetikhin and Turaev, "Ribbon
+    graphs and their invariants derived from quantum groups", Comm. Math.
+    Phys. 127 (1990).
 
     That covers every divided power as well.  If X intertwines E, it
     intertwines E^l = [l]! E^(l), so [l]! (X E^(l) - E^(l) X) = 0; [l]! is
@@ -212,23 +311,28 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     likewise F^(l).  The certificate thus holds identically in q for the
     whole integral form, and so after any specialization to any ring R
     (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35 (1990)).
-    Returns the first failing step and generator, or None.
+    Returns the first failing step, as a one-slice word, and generator, or
+    None.
     """
-    steps: dict[TangleWord, None] = {}
-    for connector in enumerate_connectors(algebra_type(r, s)):
-        word = canonical_basis_word(connector)
-        for above, slc in zip(word.levels, word.slices):
-            # The slice moved to position 1 of the points it touches.
-            local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
-            unit = dataclasses.replace(slc, pos=1)
-            steps.setdefault(TangleWord(TangleType(local, apply_slice(local, unit)), [unit]))
+    types = [algebra_type(r, s)] + ([all_down_type(r + s)] if all_down else [])
+    steps: dict[tuple, None] = {}
+    for ty in types:
+        for connector in enumerate_connectors(ty):
+            word = canonical_basis_word(connector)
+            for above, slc in zip(word.levels, word.slices):
+                local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
+                steps.setdefault((local, dataclasses.replace(slc, pos=1)))
     sweep = generator_sweep(n)
-    for step in steps:
-        top, bottom = step.ty.top, step.ty.bottom
-        block = slice_matrix(n, top, step.slices[0])
+    actions: dict[tuple, OperatorMatrix] = {}  # (generator, the points of a block's side) -> its action
+    for top, unit in steps:
+        block = slice_matrix(n, top, unit)
+        bottom = block.col_type
         for gen in sweep:
-            if block.matmul(gen_on_mixed(gen, bottom, n)) != gen_on_mixed(gen, top, n).matmul(block):
-                return step, gen
+            for side in (top, bottom):
+                if (gen, side) not in actions:
+                    actions[gen, side] = gen_on_mixed(gen, side, n)
+            if block.matmul(actions[gen, bottom]) != actions[gen, top].matmul(block):
+                return TangleWord(TangleType(top, bottom), [unit]), gen
     return None
 
 
@@ -248,26 +352,31 @@ def _weight_classes(n: int, boundary: Sequence[Orientation]) -> list[list[MultiI
     return list(classes.values())
 
 
-def image_rank(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
+def image_rank(
+    n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None, upper: Optional[int] = None
+) -> int:
     """Rank of the span of all basis diagram matrices at the specialization.
 
     Each of the (r+s)! connectors is rendered from its canonical basis word
     directly at q0 by ``specialized_word_matrices``, which is exact because
     specializing q is a ring homomorphism.  Each integer matrix, its scale
-    dropped, is flattened to a sparse vector; elimination runs over the
-    union of the occupied positions, so the cost scales with the number of
-    basis elements and their support, not with the full matrix square.
+    dropped, is flattened to a sparse vector over the occupied positions.
 
-    For n >= r + s the rows of the most populous weight space are rendered
-    and ranked first.  Leaving rows out of every matrix is a linear map on
-    their span, so it can only lower the rank, and (r+s)! matrices span at
-    most (r+s)! dimensions.  A restricted rank of (r+s)! is therefore the
-    exact rank, and is returned; any smaller one proves nothing, and the
-    full rows are ranked.  For n < r + s the faithfulness claim puts the
-    rank below (r+s)!, so only the full rows are ranked.
+    The rank is first bounded from below by the rows of the most populous
+    weight space, rendered alone and ranked mod p (``CHAIN_PRIME``
+    when p is None) in the order ``ROW_ORDER_SEED`` shuffles the words
+    into, stopped at the smallest proved upper end: (r+s)! when n >= r + s,
+    since (r+s)! matrices span at most (r+s)! dimensions, and ``upper``,
+    which a caller passes only when it has proved it.  Leaving rows out of
+    every matrix is a linear map on their span, and reducing integer rows
+    mod any prime can only lower their rank, so a lower end that reaches an
+    upper end is the exact rank over Q, and is returned.  Beyond (r+s)! this
+    function proves no upper end of its own: it reads no commutant and no
+    RSK count, so a caller that compares its rank with one compares two
+    independent numbers.
 
-    Given a prime p, the same integer rows are ranked mod p, which gives a
-    lower bound on the rank over Q.
+    Otherwise every row is ranked, over Q, or mod p given a prime p, which
+    gives a lower bound on the rank over Q.
     """
     m = r + s
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
@@ -276,18 +385,22 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = Non
     size = len(index)
     words = [canonical_basis_word(connector) for connector in enumerate_connectors(ty)]
 
-    def rank(start=None) -> int:
-        return _rank_of_rows(
-            (
-                {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
-                for rows, _ in specialized_word_matrices(words, n, q0, start)
-            ),
-            p,
-        )
+    def vectors(batch: list[TangleWord], start=None) -> Iterator[dict[int, int]]:
+        for rows, _ in specialized_word_matrices(batch, n, q0, start):
+            yield {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
 
-    if n >= m and rank(set(max(_weight_classes(n, ty.top), key=len))) == len(words):
-        return len(words)
-    return rank()
+    ends = ([factorial(m)] if n >= m else []) + ([upper] if upper is not None else [])
+    if ends:
+        bound = min(ends)
+        shuffled = words[:]
+        random.Random(ROW_ORDER_SEED).shuffle(shuffled)
+        weight_space = set(max(_weight_classes(n, ty.top), key=len))
+        # The shuffled rows mostly reach the end within the first bound of them, so the
+        # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
+        chunks = (vectors(shuffled[i : i + 2 * bound], weight_space) for i in range(0, len(shuffled), 2 * bound))
+        if _rank_up_to((row for chunk in chunks for row in chunk), CHAIN_PRIME if p is None else p, bound) == bound:
+            return bound
+    return _rank_of_rows(vectors(words), p)
 
 
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
@@ -420,21 +533,44 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     two outer steps.  The middle step is the commutation claim, which puts
     the image inside the commutant.  So when that claim holds and the two
     ends are equal, all four numbers are equal, and the mod-p ones are the
-    exact ranks over Q.  Otherwise both are ranked again over Q, and only
-    that route can report a mismatch.  It is also the only route when p
-    divides q0's numerator or denominator, and for the all-down rank.
+    exact ranks over Q.  ``image_rank`` takes nullity_p as its upper end and
+    stops once its rows reach it.  Otherwise both are ranked again over Q,
+    and only that route can report a mismatch.  It is also the only route
+    when p divides q0's numerator or denominator.
+
+    The all-down rank behind ``annihilatorMatch`` has the same chain on
+    V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
+    end when n < m; for n >= m, m! needs no certificate.  The commutation
+    pass then certifies the all-down local steps too, which puts the
+    all-down image inside End_U(V^(x)m), and End_U(V^(x)m) has the RSK count
+    as its dimension at every rational q0.  That is quantum Schur-Weyl
+    duality (Jimbo, Lett. Math. Phys. 11 (1986); over every ring, Du,
+    Parshall and Scott, Comm. Math. Phys. 195 (1998)), and it needs only
+    that no [k] vanishes at q0, which holds at q0 = +-1 too, where [k] is k
+    or (-1)^(k+1) k.  Then the sweep gives every divided power and weight
+    projection (``commutant_dim``), so End_U(V^(x)m) is the commutant of the
+    q-Schur algebra, which Du, Parshall and Scott show to be the image of
+    the Hecke algebra H_m(q0).  H_m(q0) is semisimple, since its Poincare
+    polynomial, the product of q0^(k-1) [k] for k <= m, does not vanish
+    (Gyoja and Uno, J. Math. Soc. Japan 41 (1989)); so the image is the sum
+    of End(S^lambda) over the Specht modules S^lambda in V^(x)m, those with
+    at most n rows, of dimension f^lambda.  A wrong count cannot pass: one
+    too high is never reached, and the rank is taken over Q; one too low
+    stops the rank short, and ``annihilatorMatch`` fails.
     """
     q0 = Fraction(q0)
+    m = r + s
     p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
+    all_down_by_chain = p is not None and n < m
     # The commutant comes first: it refuses an oversized instance before any
     # diagram is rendered or any system eliminated.
     started = time.perf_counter()
     dim = commutant_dim(n, r, s, q0, p)
-    rank = image_rank(n, r, s, q0, p)
+    rank = image_rank(n, r, s, q0, p, None if p is None else dim)
     ranks_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    failure = _first_uncommuting_step(n, r, s)
+    failure = _first_uncommuting_step(n, r, s, all_down=all_down_by_chain)
     commutation_seconds = time.perf_counter() - started
 
     if p is not None and (failure is not None or rank != dim):
@@ -444,8 +580,13 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
         ranks_seconds += time.perf_counter() - started
 
     started = time.perf_counter()
-    tangle_ann = factorial(r + s) - rank
-    hecke_ann = factorial(r + s) - image_rank(n, r + s, 0, q0)
+    upper = _rsk_count(n, m) if all_down_by_chain and failure is None else None
+    if upper is not None and image_rank(n, m, 0, q0, p, upper) == upper:
+        all_down_rank = upper
+    else:
+        all_down_rank = image_rank(n, m, 0, q0)
+    tangle_ann = factorial(m) - rank
+    hecke_ann = factorial(m) - all_down_rank
     timings = (
         ("commutation", commutation_seconds),
         ("ranks", ranks_seconds),
@@ -470,7 +611,7 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
         ClaimResult(
             "faithfulness",
             faithful == (n >= r + s),
-            f"annihilator {tangle_ann} with n = {n}, r + s = {r + s}",
+            f"annihilator {tangle_ann} with n = {n}, r + s = {m}",
         ),
     )
     return DualityReport(

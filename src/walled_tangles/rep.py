@@ -28,7 +28,6 @@ from .tangle import (
     Cross,
     Hand,
     Max,
-    Min,
     Orientation,
     Sweep,
     TangleWord,
@@ -256,25 +255,38 @@ def _local_max(n: int, sweep: Sweep) -> dict:
     return local
 
 
-def slice_matrix(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
-    """Matrix of one slice acting between its two levels."""
-    below = apply_slice(level, slc)
-    if isinstance(slc, Cross):
-        local = _local_cross(n, (level[slc.pos - 1], level[slc.pos]), slc.hand)
-    elif isinstance(slc, Min):
-        local = _local_min(n, (level[slc.pos - 1], level[slc.pos]))
-    elif isinstance(slc, Max):
+def _local_block(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
+    """The block of a slice on the points it touches: a crossing or a valley
+    on its two points of ``level``, a peak from none to the two it makes."""
+    if isinstance(slc, Max):
+        top: tuple[Orientation, ...] = ()
         local = _local_max(n, slc.sweep)
     else:
-        raise TypeError(f"not a slice: {slc!r}")
+        top = level[slc.pos - 1 : slc.pos + 1]
+        local = _local_cross(n, top, slc.hand) if isinstance(slc, Cross) else _local_min(n, top)
+    return OperatorMatrix(n, top, apply_slice(top, dataclasses.replace(slc, pos=1)), local)
+
+
+def _tensored(
+    n: int, level: tuple[Orientation, ...], slc, local: Mapping
+) -> Iterator[tuple[MultiIndex, MultiIndex, object]]:
+    """The entries (row, col, value) of the slice's local block, given as
+    ``{(local row, local col): value}``, tensored with identities on the
+    points of ``level`` left and right of the slice."""
     left = slc.pos - 1
-    right = len(level) - left - (2 if not isinstance(slc, Max) else 0)
-    entries = {}
+    right = len(level) - left - (0 if isinstance(slc, Max) else 2)
     for pre in label_tuples(n, left):
         for post in label_tuples(n, right):
-            for (lrow, lcol), v in local.items():
-                entries[(pre + lrow + post, pre + lcol + post)] = v
-    return OperatorMatrix(n, level, below, entries)
+            for (lrow, lcol), value in local.items():
+                yield pre + lrow + post, pre + lcol + post, value
+
+
+def slice_matrix(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
+    """Matrix of one slice acting between its two levels: its local block
+    tensored with identities."""
+    below = apply_slice(level, slc)
+    local = _local_block(n, level, slc).entries
+    return OperatorMatrix(n, level, below, {(row, col): v for row, col, v in _tensored(n, level, slc, local)})
 
 
 def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
@@ -293,10 +305,13 @@ def specialized_word_matrices(
     pair per word, the matrix being the integers {row: {col: entry}} / scale.
     All words share one top boundary.
 
-    Each distinct (level, slice) pair is specialized once by ``evaluate``,
-    to integers over one denominator, and the words are multiplied along
-    their shared slice prefixes by ``tangle._fold_words``.  Exact, because
-    specializing q is a ring homomorphism.
+    Each distinct (level, slice) pair is specialized once: its local block
+    by ``evaluate``, to integers over one denominator, which is then
+    tensored with identities in integers.  The block holds every value the
+    slice matrix holds, so the denominator is the slice matrix's.  The words
+    are multiplied along their shared slice prefixes by
+    ``tangle._fold_words``.  Exact, because specializing q is a ring
+    homomorphism.
 
     Given ``start``, a set of top labels, the walk starts from the identity
     restricted to those labels, so only those rows are rendered: the output
@@ -308,9 +323,9 @@ def specialized_word_matrices(
     def step(value: tuple[dict, int], level: tuple[Orientation, ...], slc) -> tuple[dict, int]:
         product, scale = value
         if (level, slc) not in factors:
-            values, den = slice_matrix(n, level, slc).evaluate(q0)
+            values, den = _local_block(n, level, slc).evaluate(q0)
             by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
-            for (row, col), v in values.items():
+            for row, col, v in _tensored(n, level, slc, values):
                 by_row.setdefault(row, {})[col] = v
             factors[level, slc] = (by_row, den)
         by_row, den = factors[level, slc]

@@ -9,9 +9,11 @@ costs one dictionary pass per slice, with no deep recursion and no memo
 keyed on a whole word.  The fold is exact because normalizing is an
 algebra map from stacked words to the free module on connectors, and a
 canonical word is descending, so it normalizes to its own connector.
-Inside the fold a coefficient is a plain ``exponent -> int`` map, updated
-in place; ``normalize``, the connector products and ``structure_constants``
-make each output coefficient a LaurentPoly once, by ``from_exponent_map``.
+Inside the fold and the descent a coefficient is a plain ``exponent -> int``
+map, updated in place; the memoized descent and step, ``normalize``, the
+connector products and ``structure_constants`` make each output
+coefficient a LaurentPoly once, by ``from_exponent_map``, so neither runs
+Laurent arithmetic.
 
 Each step is evaluated by the descent engine, which repeatedly applies the
 crossing-switch relation: the difference between the two hands of a
@@ -183,6 +185,11 @@ def _smoothing_slices(word: TangleWord, crossing) -> tuple:
     return (Min(pos), Max(pos, PEAK_SWEEP[(b, a)]))
 
 
+def _polys(terms: dict) -> dict:
+    """The nonzero coefficients of ``{key: exponent map}``, as LaurentPolys."""
+    return {key: poly for key, k in terms.items() if (poly := LaurentPoly.from_exponent_map(k))}
+
+
 @functools.cache
 def _descend(word: TangleWord, ranks: tuple[int, ...]) -> tuple[tuple[LaurentPoly, TangleWord], ...]:
     """Rewrite a word into descending words with Laurent coefficients.
@@ -199,23 +206,34 @@ def _descend(word: TangleWord, ranks: tuple[int, ...]) -> tuple[tuple[LaurentPol
     smoothed = word.replace_slice(violation.slice_index, _smoothing_slices(word, violation))
     # Switching changes the diagram by the smoothing times (q^-1 - q) if the
     # crossing being given up was negative, (q - q^-1) if positive.
-    smoothing_coeff = (QINV - Q) if violation.sign < 0 else (Q - QINV)
-    acc: dict[TangleWord, LaurentPoly] = {}
+    sign = -1 if violation.sign < 0 else 1
+    acc: dict[TangleWord, dict[int, int]] = {}
     for coeff, base in _descend(switched, ranks):
-        acc[base] = acc.get(base, ZERO) + coeff
+        into = acc.setdefault(base, {})
+        for e, c in coeff.terms:
+            into[e] = into.get(e, 0) + c
     for coeff, base in _descend(smoothed, ranks):
-        acc[base] = acc.get(base, ZERO) + coeff * smoothing_coeff
-    return tuple((k, w) for w, k in acc.items() if not k.is_zero())
+        into = acc.setdefault(base, {})
+        for e, c in coeff.terms:
+            into[e + 1] = into.get(e + 1, 0) + sign * c
+            into[e - 1] = into.get(e - 1, 0) - sign * c
+    return tuple((k, w) for w, k in _polys(acc).items())
 
 
 def _descending_value(word: TangleWord, n: int) -> tuple[Connector, LaurentPoly]:
     """Connector and scalar of a fully descending word: kinks contribute
     q^(n * sign) and each loop the quantum integer of n times q^(n * writhe)."""
     g = strand_graph(word)
-    coeff = LaurentPoly.monomial(1, n * sum(g.strand_writhes))
+    coeff = {n * sum(g.strand_writhes): 1}
+    loop_value = quantum_int(n).terms
     for loop in g.loops:
-        coeff = coeff * quantum_int(n) * LaurentPoly.monomial(1, n * loop.writhe)
-    return g.connector, coeff
+        shifted: dict[int, int] = {}
+        for e1, c1 in coeff.items():
+            for e2, c2 in loop_value:
+                e = e1 + e2 + n * loop.writhe
+                shifted[e] = shifted.get(e, 0) + c1 * c2
+        coeff = shifted
+    return g.connector, LaurentPoly.from_exponent_map(coeff)
 
 
 # -- the fold over the connector basis ----------------------------------------
@@ -230,11 +248,14 @@ def _step(connector: Connector, s: Slice, n: int) -> tuple[tuple[Connector, Laur
     slices = canonical_basis_word(connector).slices + (s,)
     word = TangleWord(TangleType(ty.top, apply_slice(ty.bottom, s)), slices)
     ranks = tuple(range(len(start_vertices(word.ty))))
-    acc: dict[Connector, LaurentPoly] = {}
+    acc: dict[Connector, dict[int, int]] = {}
     for coeff, base in _descend(word, ranks):
         target, extra = _descending_value(base, n)
-        acc[target] = acc.get(target, ZERO) + coeff * extra
-    return tuple((c, k) for c, k in acc.items() if not k.is_zero())
+        into = acc.setdefault(target, {})
+        for e1, c1 in coeff.terms:
+            for e2, c2 in extra.terms:
+                into[e1 + e2] = into.get(e1 + e2, 0) + c1 * c2
+    return tuple(_polys(acc).items())
 
 
 def _fold(terms: dict[Connector, dict[int, int]], slices: Iterable[Slice], n: int) -> dict[Connector, dict[int, int]]:
@@ -254,10 +275,6 @@ def _fold(terms: dict[Connector, dict[int, int]], slices: Iterable[Slice], n: in
                         into[e1 + e2] = into.get(e1 + e2, 0) + c1 * c2
         terms = {c: kept for c, into in acc.items() if (kept := {e: x for e, x in into.items() if x})}
     return terms
-
-
-def _polys(terms: dict[Connector, dict[int, int]]) -> dict[Connector, LaurentPoly]:
-    return {c: LaurentPoly.from_exponent_map(k) for c, k in terms.items()}
 
 
 def normalize(word: TangleWord, n: int) -> TangleElement:

@@ -106,7 +106,50 @@ class TestRankOfRows:
         rows = random_integer_rows(random.Random(5), 24, 40, 8)
         before = [dict(row) for row in rows]
         duality._rank_of_rows(rows, p)
+        if p is not None:
+            duality._rank_up_to(rows, p, len(rows))
         assert rows == before
+
+
+class TestRankUpTo:
+    """The stopped mod-p eliminator against the dense rank mod p."""
+
+    @pytest.mark.parametrize(
+        "height,width,support,seed",
+        [(6, 5, 3, s) for s in range(4)] + [(16, 40, 8, s) for s in range(3)] + [(24, 2000, 60, s) for s in range(2)],
+    )
+    @pytest.mark.parametrize("p", [2, 7, duality.CHAIN_PRIME])
+    def test_unstopped_rank_is_the_rank_mod_p(self, height, width, support, seed, p):
+        rows = random_integer_rows(random.Random(seed), height, width, support)
+        dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+        assert duality._rank_up_to(rows, p, height) == dense_rank_mod_p(dense, p)
+
+    @pytest.mark.parametrize("p", [2, 7, duality.CHAIN_PRIME])
+    def test_dense_residues_up_to_p_minus_1(self, p):
+        # Every slot takes the largest additions the width has to hold.
+        rng = random.Random(p)
+        rows = [{c: rng.choice((p - 1, rng.randrange(p))) for c in range(30)} for _ in range(40)]
+        dense = [[row[c] for c in range(30)] for row in rows]
+        assert duality._rank_up_to(rows, p, 40) == dense_rank_mod_p(dense, p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_at_the_row_that_reaches_the_bound(self, seed):
+        rows = random_integer_rows(random.Random(seed), 16, 40, 8)
+        p = duality.CHAIN_PRIME
+        full = duality._rank_up_to(rows, p, len(rows))
+        for bound in range(full + 1):
+            read = []
+
+            def reading():
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            assert duality._rank_up_to(reading(), p, bound) == bound
+            prefix = [[row.get(c, 0) for c in range(40)] for row in read]
+            # The last row read is the one that brought the rank to the bound.
+            assert dense_rank_mod_p(prefix, p) == bound
+            assert not read or dense_rank_mod_p(prefix[:-1], p) == bound - 1
 
 
 class TestExactRanks:
@@ -179,7 +222,14 @@ class TestExactRanks:
         def forbidden(*args, **kwargs):
             raise AssertionError("rendered or eliminated before the budget check")
 
-        rendering = ("_rank_of_rows", "slice_matrix", "specialized_word_matrices", "_first_uncommuting_step", "gen_on_mixed")
+        rendering = (
+            "_rank_of_rows",
+            "_rank_up_to",
+            "slice_matrix",
+            "specialized_word_matrices",
+            "_first_uncommuting_step",
+            "gen_on_mixed",
+        )
         for name in rendering:
             monkeypatch.setattr(duality, name, forbidden)
         # The classes are read off the label weights: no generator is rendered, not even K.
@@ -224,17 +274,12 @@ class TestWeightRowCertificate:
             assert image_rank(n, r, s, q0) == full_rows_rank(n, r, s, q0) == math.factorial(r + s)
 
     def test_short_restricted_rank_falls_back_to_all_rows(self, monkeypatch):
-        ranks = []
-        exact = duality._rank_of_rows
-
-        def recorded(rows, p=None):
-            ranks.append(exact(rows, p))
-            return ranks[-1]
-
-        monkeypatch.setattr(duality, "_rank_of_rows", recorded)
+        ranks = record_eliminations(monkeypatch)
         monkeypatch.setattr(duality, "_weight_classes", lambda n, boundary: [[(1, 2, 3, 4)]])
         assert image_rank(4, 2, 2, Q0) == 24
-        assert len(ranks) == 2 and ranks[0] < 24 and ranks[1] == 24
+        # The restricted rank mod p stops short of 24, and every row is then ranked over Q.
+        assert [(name, p) for name, p, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
+        assert ranks[0][2] < 24 and ranks[1][2] == 24
 
     @pytest.mark.parametrize("n,r,s,restricted", [(4, 2, 2, True), (5, 3, 1, True), (3, 2, 2, False), (2, 3, 0, False)])
     def test_rows_are_restricted_only_when_n_reaches_r_plus_s(self, monkeypatch, n, r, s, restricted):
@@ -346,6 +391,7 @@ class TestSliceCertificate:
     )
     def test_certificate_agrees_with_every_basis_commutator(self, n, r, s):
         assert duality._first_uncommuting_step(n, r, s) is None
+        assert duality._first_uncommuting_step(n, r, s, all_down=True) is None
         boundary = algebra_type(r, s).top
         connectors = enumerate_connectors(algebra_type(r, s))
         matrices = [matrix_by_descent(c, n) for c in connectors]
@@ -377,6 +423,37 @@ class TestSliceCertificate:
         (claim,) = [c for c in data["claims"] if c["name"] == "commutation"]
         assert claim["holds"] is False
         assert claim["detail"] == "slice block vv|vv : X+(1) does not intertwine E(i=1, l=1)"
+
+
+    def test_broken_all_down_block_fails_the_claim(self, monkeypatch):
+        # At (2, 1, 2) no walled basis word crosses two DOWN strands; only the
+        # all-down steps, certified for the all-down rank, hold that block.
+        exact = rep._local_cross
+
+        def swapped_diagonal(n, entry, hand):
+            local = exact(n, entry, hand)
+            if entry != (DOWN, DOWN):
+                return local
+            return {(row, col): {Q: QINV, QINV: Q}.get(v, v) if row == col else v for (row, col), v in local.items()}
+
+        monkeypatch.setattr(rep, "_local_cross", swapped_diagonal)
+        assert duality._first_uncommuting_step(2, 1, 2) is None
+        step, gen = duality._first_uncommuting_step(2, 1, 2, all_down=True)
+        assert str(step) == "vv|vv : X+(1)"
+        (claim,) = [c for c in verify_schur_weyl(2, 1, 2, Q0).claims if c.name == "commutation"]
+        assert claim.holds is False
+
+    def test_steps_are_deduplicated_before_any_word_is_built(self, monkeypatch):
+        built = []
+        exact = duality.TangleWord
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "TangleWord", counted)
+        assert duality._first_uncommuting_step(2, 3, 2, all_down=True) is None
+        assert built == []
 
 
 class TestVerifyReport:
@@ -442,29 +519,40 @@ class TestVerifyReport:
 
 
 
-def record_primes(monkeypatch) -> list:
-    """Spy on ``_rank_of_rows``: the prime of each call, None over Q."""
-    primes = []
-    exact = duality._rank_of_rows
+def record_eliminations(monkeypatch) -> list:
+    """Spy on both eliminators: (name, prime, rank) of each call, prime
+    None over Q; ``_rank_up_to`` always has a prime."""
+    calls = []
+    exact_rows, exact_up_to = duality._rank_of_rows, duality._rank_up_to
 
-    def recorded(rows, p=None):
-        primes.append(p)
-        return exact(rows, p)
+    def rank_of_rows(rows, p=None):
+        calls.append(("_rank_of_rows", p, exact_rows(rows, p)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(duality, "_rank_of_rows", recorded)
-    return primes
+    def rank_up_to(rows, p, bound):
+        calls.append(("_rank_up_to", p, exact_up_to(rows, p, bound)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(duality, "_rank_of_rows", rank_of_rows)
+    monkeypatch.setattr(duality, "_rank_up_to", rank_up_to)
+    return calls
 
 
 def record_ends(monkeypatch) -> list:
-    """Spy on both walled routes: (name, prime, value) of each call."""
+    """Spy on both routes: (name, prime, upper end, value) of each call;
+    ``commutant_dim`` takes no upper end and records None."""
     ends = []
-    for name in ("commutant_dim", "image_rank"):
 
-        def recorded(n, r, s, q0, p=None, name=name, exact=getattr(duality, name)):
-            ends.append((name, p, exact(n, r, s, q0, p)))
-            return ends[-1][2]
+    def commutant(n, r, s, q0, p=None, exact=duality.commutant_dim):
+        ends.append(("commutant_dim", p, None, exact(n, r, s, q0, p)))
+        return ends[-1][3]
 
-        monkeypatch.setattr(duality, name, recorded)
+    def rank(n, r, s, q0, p=None, upper=None, exact=duality.image_rank):
+        ends.append(("image_rank", p, upper, exact(n, r, s, q0, p, upper)))
+        return ends[-1][3]
+
+    monkeypatch.setattr(duality, "commutant_dim", commutant)
+    monkeypatch.setattr(duality, "image_rank", rank)
     return ends
 
 
@@ -477,43 +565,46 @@ class TestRankChain:
 
     @pytest.mark.parametrize("n,r,s", CHAIN_CASES[:4], ids=str)
     def test_walled_ranks_stay_mod_p(self, monkeypatch, n, r, s):
-        primes = record_primes(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         report = verify_schur_weyl(n, r, s, Q0)
         assert report.all_pass
-        # The commutant and the image mod p; the all-down rank over Q.
-        assert primes == [duality.CHAIN_PRIME, duality.CHAIN_PRIME, None]
+        # The commutant, the walled image and the all-down image, all mod p:
+        # the two images stop at their upper ends, and nothing is ranked over Q.
+        p = duality.CHAIN_PRIME
+        assert [(name, prime) for name, prime, _ in calls] == [("_rank_of_rows", p), ("_rank_up_to", p), ("_rank_up_to", p)]
 
     def test_unlucky_prime_falls_back_to_q(self, monkeypatch):
         # 5/3 has order 3 mod 7, and the ends of the chain do not meet.
         monkeypatch.setattr(duality, "CHAIN_PRIME", 7)
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 3, 2, Q0)
-        assert ends[:2] == [("commutant_dim", 7, 43), ("image_rank", 7, 42)]
-        assert ends[2:4] == [("commutant_dim", None, 42), ("image_rank", None, 42)]
+        assert ends[:2] == [("commutant_dim", 7, None, 43), ("image_rank", 7, 43, 42)]
+        assert ends[2:4] == [("commutant_dim", None, None, 42), ("image_rank", None, None, 42)]
         assert report.all_pass
         assert (report.image_rank, report.commutant_dim) == (42, 42)
 
     def test_failed_commutation_claim_falls_back_to_q(self, monkeypatch):
         # Without the containment the chain proves nothing, even where its ends meet.
-        monkeypatch.setattr(duality, "_first_uncommuting_step", lambda n, r, s: ("a step", "a generator"))
+        monkeypatch.setattr(duality, "_first_uncommuting_step", lambda n, r, s, all_down=False: ("a step", "a generator"))
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 2, 2, Q0)
         p = duality.CHAIN_PRIME
+        # The all-down rank, too, is taken over Q, and not against the RSK count.
         assert ends == [
-            ("commutant_dim", p, 14),
-            ("image_rank", p, 14),
-            ("commutant_dim", None, 14),
-            ("image_rank", None, 14),
-            ("image_rank", None, 14),
+            ("commutant_dim", p, None, 14),
+            ("image_rank", p, 14, 14),
+            ("commutant_dim", None, None, 14),
+            ("image_rank", None, None, 14),
+            ("image_rank", None, None, 14),
         ]
         assert [claim.holds for claim in report.claims] == [False, True, True, True]
 
     def test_prime_dividing_q0_goes_straight_to_q(self, monkeypatch):
         expected = verify_schur_weyl(2, 2, 2, Q0).to_json()
         monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
-        primes = record_primes(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         data = verify_schur_weyl(2, 2, 2, Q0).to_json()
-        assert primes == [None, None, None]
+        assert [(name, p) for name, p, _ in calls] == [("_rank_of_rows", None)] * 3
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
     def test_cartan_only_sweep_is_a_mismatch_over_q(self, monkeypatch):
@@ -522,7 +613,12 @@ class TestRankChain:
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 2, 2, Q0)
         p = duality.CHAIN_PRIME
-        assert ends[:4] == [("commutant_dim", p, 70), ("image_rank", p, 14), ("commutant_dim", None, 70), ("image_rank", None, 14)]
+        assert ends[:4] == [
+            ("commutant_dim", p, None, 70),
+            ("image_rank", p, 70, 14),
+            ("commutant_dim", None, None, 70),
+            ("image_rank", None, None, 14),
+        ]
         assert not report.all_pass
         (claim,) = [c for c in report.claims if c.name == "rankMatch"]
         assert claim.holds is False
@@ -537,6 +633,50 @@ class TestRankChain:
         p = duality.CHAIN_PRIME
         assert image_rank(n, r, s, q0, p) == image_rank(n, r, s, q0)
         assert commutant_dim(n, r, s, q0, p) == commutant_dim(n, r, s, q0)
+
+    @pytest.mark.parametrize("q0", [Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
+    def test_report_matches_the_q_route(self, monkeypatch, n, r, s, q0):
+        calls = record_eliminations(monkeypatch)
+        report = verify_schur_weyl(n, r, s, q0)
+        # Both chains close mod p: nothing is ranked over Q.
+        assert all(p is not None for _, p, _ in calls)
+        m = r + s
+        assert report.all_pass
+        assert report.image_rank == full_rows_rank(n, r, s, q0)
+        assert report.commutant_dim == commutant_dim(n, r, s, q0)
+        assert report.hecke_annihilator_dim == math.factorial(m) - full_rows_rank(n, m, 0, q0)
+
+    def test_all_down_rank_is_taken_mod_p_against_the_rsk_count(self, monkeypatch):
+        calls = record_eliminations(monkeypatch)
+        ends = record_ends(monkeypatch)
+        report = verify_schur_weyl(2, 3, 2, Q0)
+        p = duality.CHAIN_PRIME
+        assert duality._rsk_count(2, 5) == 42
+        # The walled rank stops at nullity_p, the all-down rank at the RSK count.
+        assert ends == [("commutant_dim", p, None, 42), ("image_rank", p, 42, 42), ("image_rank", p, 42, 42)]
+        assert [(name, prime) for name, prime, _ in calls] == [("_rank_of_rows", p), ("_rank_up_to", p), ("_rank_up_to", p)]
+        assert report.all_pass and report.hecke_annihilator_dim == 120 - 42
+
+    def test_rsk_count_too_high_runs_the_q_route(self, monkeypatch):
+        expected = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        exact = duality._rsk_count
+        monkeypatch.setattr(duality, "_rsk_count", lambda n, m: exact(n, m) + 1)
+        ends = record_ends(monkeypatch)
+        data = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        p = duality.CHAIN_PRIME
+        # 43 is never reached: every row is ranked mod p, and then over Q.
+        assert ends[2:] == [("image_rank", p, 43, 42), ("image_rank", None, None, 42)]
+        assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    def test_rsk_count_too_low_fails_the_annihilator_claim(self, monkeypatch):
+        exact = duality._rsk_count
+        monkeypatch.setattr(duality, "_rsk_count", lambda n, m: exact(n, m) - 1)
+        report = verify_schur_weyl(2, 3, 2, Q0)
+        (claim,) = [c for c in report.claims if c.name == "annihilatorMatch"]
+        assert claim.holds is False
+        assert claim.detail == "walled side 78, all-down side 79"
+        assert not report.all_pass
 
 class TestVanishingCorrespondence:
     def test_kernel_elements_vanish_on_both_sides(self):

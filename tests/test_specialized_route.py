@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from descent_oracle import matrix_by_descent
 
+from walled_tangles.duality import _rsk_count as hook_length_count
 from walled_tangles.duality import _weight_classes, image_rank
 from walled_tangles.rep import label_tuples, specialized_word_matrices
 from walled_tangles.skein import structure_constants
@@ -90,6 +91,14 @@ RSK_CASES = [
 # Faithful instances, certified from the rows of one weight space.
 RSK_CASES += [(4, r, 4 - r, q0) for r in range(5) for q0 in (Fraction(5, 3), Fraction(1), Fraction(-1))]
 RSK_CASES += [(5, 5, 0, Fraction(5, 3)), (5, 3, 2, Fraction(5, 3))]
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_hook_length_count_matches_the_permutation_count(m):
+    # The upper end of the all-down rank in ``verify_schur_weyl``, against RSK counted by brute force.
+    lengths = [_longest_decreasing(perm) for perm in itertools.permutations(range(m))]
+    for n in range(1, 8):
+        assert hook_length_count(n, m) == sum(1 for length in lengths if length <= n), (n, m)
 
 
 def test_rsk_grid_size():
