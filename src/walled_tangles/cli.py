@@ -361,17 +361,26 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
 #: Most labels a ``matrix`` may run over: n to the power of the widest level
 #: of the word, or of the boundary under ``--generators``.  At 4096 labels
 #: (Python 3.11, one core) one crossing or one generator takes about 0.4 s
-#: and 40 MB, eleven crossings on twelve points 2.9 s and 100 MB; the charge
-#: bounds the labels, not the nonzeros, so a 44-crossing braid there takes
-#: 67 s and 0.9 GB.  ``--n 4 --type "v12|v12"`` would run over 16.7 M labels.
+#: and 40 MB.  ``--n 4 --type "v12|v12"`` would run over 16.7 M labels.
 MATRIX_LABEL_BUDGET = 4096
 
+#: Most labels times factors (the word's slices, or the generators) a
+#: ``matrix`` may multiply through: each factor can touch every label, and
+#: the product fills in as the word grows.  On twelve points at n = 2 (4096
+#: labels, Python 3.11 on a shared 2-core Xeon) 8 crossings took 3.1 s and
+#: 155 MB, 16 crossings 16 s and 550 MB, and 44 crossings 67 s and 0.9 GB.
+MATRIX_FACTOR_BUDGET = 8 * 4096
 
-def _charge_labels(n: int, width: int) -> None:
-    """Refuse a matrix whose widest level has more labels than the budget
-    (an invalid n is left for the renderer to reject)."""
+
+def _charge_labels(n: int, width: int, factors: int) -> None:
+    """Refuse a matrix whose widest level has more labels than the budget,
+    or whose labels times factors do (an invalid n is left for the renderer
+    to reject)."""
     if n >= 1:
-        ResourceLimitError.check(f"a level of {width} points at n = {n}", n**width, "labels", MATRIX_LABEL_BUDGET)
+        labels = n**width
+        ResourceLimitError.check(f"a level of {width} points at n = {n}", labels, "labels", MATRIX_LABEL_BUDGET)
+        what = f"a product of {factors} factors on {labels} labels"
+        ResourceLimitError.check(what, labels * factors, "label-factors", MATRIX_FACTOR_BUDGET)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -382,14 +391,14 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         gens = parse_dsl(args.generators)
         if isinstance(gens, TangleWord):
             raise DslError("--generators expects generator tokens, not a word", 0)
-        _charge_labels(args.n, len(boundary))
+        _charge_labels(args.n, len(boundary), len(gens))
         matrix = word_matrix(gens, boundary, args.n)
     else:
         if args.type is None:
             raise DslError("matrix needs --type with --word, or --generators", 0)
         ty = parse_type(args.type)
         word = _read_word_argument(args, ty)
-        _charge_labels(args.n, max(len(level) for level in word.levels))
+        _charge_labels(args.n, max(len(level) for level in word.levels), len(word.slices))
         matrix = matrix_of_word(word, args.n)
     _emit(args, matrix.to_json(), lambda: render_matrix(matrix))
     return 0

@@ -14,18 +14,21 @@ basis matrix (``_first_uncommuting_step``).
 p.  Reducing an integer matrix mod p can only lower its rank, and the
 containment sits in between, so
 
-    rank_p(image) <= rank_Q(image) <= dim_Q End_U(M) <= nullity_p(system),
+    rank_p(mu0 rows) <= rank_Q(image) <= dim_Q End_U(M) <= sum m_lambda^2,
 
-and when the two ends meet, all four are equal.  ``verify_schur_weyl``
-decides the ranks this way first, and over Q when the ends differ.
+where m_lambda counts the highest-weight vectors of weight lambda mod p
+(``_highest_weight_bound`` proves the right step), and when the two ends
+meet, all four are equal.  ``verify_schur_weyl`` decides the walled ranks
+this way first, and over Q, from the blocked commutant system, when the
+ends differ.
 
 Every image rank follows one rule.  Its lower end is the rank mod p of the
-rows of the most populous weight space alone, taken in a fixed seeded order
-by ``_rank_up_to``, which stops as soon as the rank reaches a proved upper
-end.  Leaving rows out of every matrix is a linear map on their span, so it
-can only lower the rank.  The upper ends are (r+s)! when n >= r + s, which
-the (r+s)! basis matrices give with no certificate; nullity_p of the
-blocked system for the walled rank; and for the all-down rank behind
+rows of the most populous weight space mu0 alone, taken in a fixed seeded
+order by ``_rank_up_to``, which stops as soon as the rank reaches a proved
+upper end.  Leaving rows out of every matrix is a linear map on their span,
+so it can only lower the rank.  The upper ends are (r+s)! when n >= r + s,
+which the (r+s)! basis matrices give with no certificate; the
+highest-weight count for the walled rank; and for the all-down rank behind
 ``annihilatorMatch``, the RSK count ``_rsk_count``, by quantum Schur-Weyl
 duality (``verify_schur_weyl`` says why).  When the ends do not meet, every
 row is ranked, and then the rank is taken over Q.  The row order decides
@@ -403,8 +406,9 @@ def image_rank(
     return _rank_of_rows(vectors(words), p)
 
 
-def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None) -> int:
-    """Dimension of the space of matrices commuting with the algebra at q0.
+def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
+    """Dimension over Q of the space of matrices commuting with the algebra
+    at q0, from the blocked system S.
 
     At every nonzero rational q0, k -> [k] is injective on the integers:
     for q0 > 0, q0 != 1, it is strictly increasing; for q0 < 0 it only
@@ -420,16 +424,17 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = 
     sums to r - s, so those n - 1 differences fix it: X preserves every
     weight space, and only the entries inside one (``_weight_classes``)
     are unknowns.  K(i) and K'(i) are scalar on each weight space and add
-    no row; E(i) and F(i) give the sparse homogeneous system [X, A] = 0,
-    one row per matrix position it touches, solved by exact elimination,
-    and the answer is its nullity.  Each A enters as integers over its one
-    denominator, which scales its whole system.
+    no row; E(i) and F(i) give the sparse homogeneous system S: [X, A] = 0,
+    one row per matrix position it touches, solved by exact elimination
+    over Q, and the answer is its nullity.  Each A enters as integers over
+    its one denominator, which scales its whole system.
 
-    Given a prime p, the same integer system is ranked mod p, which can only
-    lower its rank, so the nullity returned is an upper bound on the
-    dimension over Q.  It is not the commutant over F_p: the argument above
-    needs [k] != 0, and over F_p [k] vanishes when q0 is a root of unity
-    (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35 (1990)).
+    This is the Q route of ``verify_schur_weyl``, which runs it only when
+    the highest-weight count (``_highest_weight_bound``), an upper end for
+    nullity_Q(S), is not met.  The argument above needs [k] != 0, so S is
+    not the commutant over F_p, where [k] vanishes when q0 is a root of
+    unity (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35
+    (1990)).
 
     The budget is charged with the blocked unknowns, before E or F is
     rendered or any row is built.  Sorting the labels into weight spaces
@@ -464,7 +469,69 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = 
                 row = system.setdefault((i, right), {})
                 row[t] = row.get(t, 0) - value
         rows.extend(system.values())
-    return len(unknowns) - _rank_of_rows(rows, p)
+    return len(unknowns) - _rank_of_rows(rows)
+
+
+def _highest_weight_bound(n: int, r: int, s: int, q0: ExactRational, p: int) -> Optional[int]:
+    """An upper end for dim_Q End_U(M) from ranks on single weight spaces
+    mod the prime p: the sum of m_lambda^2, where m_lambda is the dimension
+    over F_p of P_lambda = {v in M_lambda : v.E(i) = 0 for every i}, the
+    highest-weight vectors of weight lambda.  None when the generation check
+    below fails.
+
+    Rows act on the right, v -> v.A, as ``gen_on_mixed`` keys its entries
+    (input, output); E(i) and F(i) are its integers at q0 reduced mod p,
+    and p divides neither the numerator nor the denominator of q0, so each
+    is a unit times the matrix over F_p, which changes no rank below.  Let S be the integer blocked
+    system of ``commutant_dim``, whose nullity over Q is dim_Q End_U(M).
+    Reducing mod p can only lower a rank, so nullity_Q(S) <= nullity_p(S).
+    A solution X of S mod p keeps each weight space M_mu.  As it commutes
+    with every E(i), it maps P_lambda into itself; as it commutes with every
+    F(i), X is fixed by its restriction to P = sum of the P_lambda wherever
+    M is spanned by P.(F-words).  So nullity_p(S) <= sum m_lambda^2.
+
+    The generation check is one test per weight mu.  Let E_mu be the map
+    M_mu -> sum_i M_(mu+alpha_i), and F_mu the map back from all labels of
+    each M_(mu+alpha_i).  Then M_mu = P_mu + sum_i M_(mu+alpha_i).F(i) holds
+    iff rank_p(F_mu E_mu) = rank_p(E_mu), and downward induction over the
+    weights gives M = P.U^-.  Every step happens in the same integer
+    matrices mod p, so the bound holds at every q0 with p prime to its
+    numerator and denominator, q0 = +-1 included, with no appeal to complete
+    reducibility.  A bound too low would stop the walled rank short, and
+    ``annihilatorMatch`` or ``faithfulness`` would fail.
+    """
+    boundary = algebra_type(r, s).top
+    classes = _weight_classes(n, boundary)
+    weight_of = {label: w for w, block in enumerate(classes) for label in block}
+    raising: dict[MultiIndex, dict] = {}  # label -> its row of E: (i, output) -> value
+    landing: dict[int, list[dict]] = {}  # weight mu -> the rows of F_mu
+    for gen in generator_sweep(n):
+        if isinstance(gen, K):
+            continue
+        action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
+        lowered: dict[MultiIndex, dict] = {}
+        for (source, target), value in action.items():
+            if isinstance(gen, E):
+                raising.setdefault(source, {})[gen.i, target] = value
+            else:
+                lowered.setdefault(source, {})[target] = value
+        for row in lowered.values():
+            landing.setdefault(weight_of[next(iter(row))], []).append(row)
+    bound = 0
+    for w, block in enumerate(classes):
+        top = _rank_of_rows((raising.get(label, {}) for label in block), p)
+        if top:
+            products = []
+            for row in landing.get(w, ()):
+                product: dict = {}
+                for label, value in row.items():
+                    for col, entry in raising.get(label, {}).items():
+                        product[col] = product.get(col, 0) + value * entry
+                products.append(product)
+            if _rank_of_rows(products, p) != top:
+                return None
+        bound += (len(block) - top) ** 2
+    return bound
 
 
 # -- the verification report --------------------------------------------------
@@ -526,17 +593,26 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     The walled ranks are decided mod p = ``CHAIN_PRIME`` first, from the
     chain
 
-        rank_p(image) <= rank_Q(image) <= dim_Q End_U(M) <= nullity_p(system).
+        rank_p(mu0 rows) <= rank_Q(image) <= dim_Q End_U(M) <= sum m_lambda^2.
 
-    The image rows and the commutant system are integer matrices, and
-    reducing an integer matrix mod p can only lower its rank: that gives the
-    two outer steps.  The middle step is the commutation claim, which puts
-    the image inside the commutant.  So when that claim holds and the two
-    ends are equal, all four numbers are equal, and the mod-p ones are the
-    exact ranks over Q.  ``image_rank`` takes nullity_p as its upper end and
-    stops once its rows reach it.  Otherwise both are ranked again over Q,
-    and only that route can report a mismatch.  It is also the only route
-    when p divides q0's numerator or denominator.
+    The image rows are integer matrices, and reducing them mod p, or leaving
+    rows out, can only lower their rank: that gives the left step.  The
+    middle step is the commutation claim, which puts the image inside the
+    commutant.  The right end is the highest-weight count
+    ``_highest_weight_bound``, which proves its own step whenever its
+    generation check passes.  So when that check and the claim pass and the
+    two ends are equal, all four numbers are equal, and the mod-p ones are
+    the exact ranks over Q.  ``image_rank`` takes the count as its upper end
+    and stops once its rows reach it.  Otherwise the commutant dimension is
+    taken from the blocked system (``commutant_dim``) and the image rank
+    from every row, both over Q, and only that route can report a mismatch.
+    It is also the only route when p divides q0's numerator or denominator.
+
+    Before any generator or diagram is rendered, the instance is charged
+    with its label-weight table, as in ``commutant_dim``, with its (r+s)!
+    basis words, as in ``image_rank``, and with the |mu0|^2 positions each
+    word's mu0 rows occupy, the width of every row and pivot of the image
+    rank.  The blocked system's own charge applies on the Q route alone.
 
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
@@ -562,18 +638,20 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     m = r + s
     p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
     all_down_by_chain = p is not None and n < m
-    # The commutant comes first: it refuses an oversized instance before any
-    # diagram is rendered or any system eliminated.
+    ResourceLimitError.check("the weight signature table", (n - 1) * n**m, "variables", VARIABLE_BUDGET)
+    ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
+    mu0 = max(len(block) for block in _weight_classes(n, algebra_type(r, s).top))
+    ResourceLimitError.check("the weight-space rank", mu0**2, "variables", VARIABLE_BUDGET)
     started = time.perf_counter()
-    dim = commutant_dim(n, r, s, q0, p)
-    rank = image_rank(n, r, s, q0, p, None if p is None else dim)
+    dim = None if p is None else _highest_weight_bound(n, r, s, q0, p)
+    rank = None if dim is None else image_rank(n, r, s, q0, p, dim)
     ranks_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     failure = _first_uncommuting_step(n, r, s, all_down=all_down_by_chain)
     commutation_seconds = time.perf_counter() - started
 
-    if p is not None and (failure is not None or rank != dim):
+    if dim is None or failure is not None or rank != dim:
         started = time.perf_counter()
         dim = commutant_dim(n, r, s, q0)
         rank = image_rank(n, r, s, q0)

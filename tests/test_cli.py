@@ -302,6 +302,25 @@ class TestMatrix:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv,charge",
+        [
+            # 44 crossings on twelve points: 4096 labels pass their own charge, but not 44 times over.
+            (("--n", "2", "--type", "v12|v12", "--word", " ".join(f"X{'+-'[k % 2]}({k % 11 + 1})" for k in range(44))), 44 * 4096),
+            (("--n", "4", "--boundary", "v^v^vv", "--generators", " ".join(["E(1)"] * 9)), 9 * 4096),
+        ],
+    )
+    def test_long_product_on_the_label_budget_fails_before_any_rendering(self, capsys, monkeypatch, argv, charge):
+        def blow_up(*args, **kwargs):
+            raise AssertionError("a matrix was rendered")
+
+        monkeypatch.setattr("walled_tangles.cli.matrix_of_word", blow_up)
+        monkeypatch.setattr("walled_tangles.cli.word_matrix", blow_up)
+        code, out, err = run_cli(capsys, "matrix", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("resource limit: ") and f"has {charge} label-factors" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("--n", "2", "--type", "v10|v10", "--word", "N>(1) U(1)"),
@@ -617,7 +636,7 @@ FAILING_CALLS = (
     (("normalize", "--n", "2"), 2),
     (("normalize", "--help"), 0),
     (("normalize", "--n", "2", "--type", "vv|vv", "--word", "X+(9)"), 2),
-    (("verify", "duality", "--n", "4", "--r", "3", "--s", "2"), 1),
+    (("verify", "duality", "--n", "2", "--r", "4", "--s", "4"), 1),
     (("verify", "duality", "--n", "2", "--r", "1", "--s", "1", "--q0", "-5/3"), 2),
 )
 

@@ -4,10 +4,12 @@ double-commutant verification."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,7 +195,9 @@ class TestExactRanks:
         with pytest.raises(ResourceLimitError):
             commutant_dim(4, 3, 2, Q0)
         with pytest.raises(ResourceLimitError):
-            verify_schur_weyl(4, 3, 2, Q0)
+            verify_schur_weyl(2, 4, 4, Q0)
+        with pytest.raises(ResourceLimitError):
+            verify_schur_weyl(100, 1, 1, Q0)
         with pytest.raises(ResourceLimitError):
             image_rank(2, 4, 4, Q0)
 
@@ -232,11 +236,14 @@ class TestExactRanks:
         )
         for name in rendering:
             monkeypatch.setattr(duality, name, forbidden)
-        # The classes are read off the label weights: no generator is rendered, not even K.
-        with pytest.raises(ResourceLimitError, match="31504 variables"):
-            verify_schur_weyl(4, 3, 2, Q0)
-        # Past the budget in the label-weight table, not one label's weight is read.
+        # The 213 labels of the most populous weight space are read off the label weights: no generator is rendered.
+        with pytest.raises(ResourceLimitError, match="weight-space rank has 45369 variables"):
+            verify_schur_weyl(3, 4, 3, Q0)
+        # Past the budget in the 8! basis words, not one label's weight is read.
         monkeypatch.setattr(duality, "label_weight", forbidden)
+        with pytest.raises(ResourceLimitError, match="40320 variables"):
+            verify_schur_weyl(2, 4, 4, Q0)
+        # Past the budget in the label-weight table, likewise.
         with pytest.raises(ResourceLimitError, match="weight signature"):
             verify_schur_weyl(100, 1, 1, Q0)
 
@@ -485,9 +492,12 @@ class TestVerifyReport:
     def test_rank_mismatch_fails_at_the_requested_point(self, monkeypatch):
         exact = duality.commutant_dim
 
-        def drops_rank_at_q0(n, r, s, q0, p=None):
-            return exact(n, r, s, q0, p) + (q0 == Q0)
+        def drops_rank_at_q0(n, r, s, q0):
+            return exact(n, r, s, q0) + (q0 == Q0)
 
+        # Both ends of the commutant side say 3: the chain's end is never met, and the Q route reports 3.
+        bound = duality._highest_weight_bound
+        monkeypatch.setattr(duality, "_highest_weight_bound", lambda n, r, s, q0, p: bound(n, r, s, q0, p) + (q0 == Q0))
         monkeypatch.setattr(duality, "commutant_dim", drops_rank_at_q0)
         report = verify_schur_weyl(2, 1, 1, Q0)
         assert not report.all_pass
@@ -540,20 +550,37 @@ def record_eliminations(monkeypatch) -> list:
 
 def record_ends(monkeypatch) -> list:
     """Spy on both routes: (name, prime, upper end, value) of each call;
-    ``commutant_dim`` takes no upper end and records None."""
+    ``_highest_weight_bound`` and ``commutant_dim`` take no upper end and
+    record None, and ``commutant_dim`` has no prime either."""
     ends = []
 
-    def commutant(n, r, s, q0, p=None, exact=duality.commutant_dim):
-        ends.append(("commutant_dim", p, None, exact(n, r, s, q0, p)))
+    def bound(n, r, s, q0, p, exact=duality._highest_weight_bound):
+        ends.append(("_highest_weight_bound", p, None, exact(n, r, s, q0, p)))
+        return ends[-1][3]
+
+    def commutant(n, r, s, q0, exact=duality.commutant_dim):
+        ends.append(("commutant_dim", None, None, exact(n, r, s, q0)))
         return ends[-1][3]
 
     def rank(n, r, s, q0, p=None, upper=None, exact=duality.image_rank):
         ends.append(("image_rank", p, upper, exact(n, r, s, q0, p, upper)))
         return ends[-1][3]
 
+    monkeypatch.setattr(duality, "_highest_weight_bound", bound)
     monkeypatch.setattr(duality, "commutant_dim", commutant)
     monkeypatch.setattr(duality, "image_rank", rank)
     return ends
+
+
+def assert_weight_ranks_then_images_mod_p(calls: list) -> None:
+    """The eliminations of a chain that closes: ``_rank_of_rows`` on the
+    weight spaces of ``_highest_weight_bound``, then the walled and the
+    all-down image rank by ``_rank_up_to``, every one mod ``CHAIN_PRIME``."""
+    p = duality.CHAIN_PRIME
+    names = [name for name, _, _ in calls]
+    assert names[-2:] == ["_rank_up_to", "_rank_up_to"]
+    assert set(names[:-2]) == {"_rank_of_rows"}
+    assert {prime for _, prime, _ in calls} == {p}
 
 
 #: The instances of the benchmark's ``duality`` workload, and five more, all with r + s <= 5.
@@ -568,18 +595,18 @@ class TestRankChain:
         calls = record_eliminations(monkeypatch)
         report = verify_schur_weyl(n, r, s, Q0)
         assert report.all_pass
-        # The commutant, the walled image and the all-down image, all mod p:
-        # the two images stop at their upper ends, and nothing is ranked over Q.
-        p = duality.CHAIN_PRIME
-        assert [(name, prime) for name, prime, _ in calls] == [("_rank_of_rows", p), ("_rank_up_to", p), ("_rank_up_to", p)]
+        # The weight spaces of the highest-weight count, then the walled image and the
+        # all-down image, all mod p: the two images stop at their upper ends, and
+        # nothing is ranked over Q.
+        assert_weight_ranks_then_images_mod_p(calls)
 
     def test_unlucky_prime_falls_back_to_q(self, monkeypatch):
-        # 5/3 has order 3 mod 7, and the ends of the chain do not meet.
+        # 5/3 has order 3 mod 7, and the generation check fails: there is no upper end mod 7.
         monkeypatch.setattr(duality, "CHAIN_PRIME", 7)
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 3, 2, Q0)
-        assert ends[:2] == [("commutant_dim", 7, None, 43), ("image_rank", 7, 43, 42)]
-        assert ends[2:4] == [("commutant_dim", None, None, 42), ("image_rank", None, None, 42)]
+        assert ends[:1] == [("_highest_weight_bound", 7, None, None)]
+        assert ends[1:3] == [("commutant_dim", None, None, 42), ("image_rank", None, None, 42)]
         assert report.all_pass
         assert (report.image_rank, report.commutant_dim) == (42, 42)
 
@@ -591,7 +618,7 @@ class TestRankChain:
         p = duality.CHAIN_PRIME
         # The all-down rank, too, is taken over Q, and not against the RSK count.
         assert ends == [
-            ("commutant_dim", p, None, 14),
+            ("_highest_weight_bound", p, None, 14),
             ("image_rank", p, 14, 14),
             ("commutant_dim", None, None, 14),
             ("image_rank", None, None, 14),
@@ -614,7 +641,7 @@ class TestRankChain:
         report = verify_schur_weyl(2, 2, 2, Q0)
         p = duality.CHAIN_PRIME
         assert ends[:4] == [
-            ("commutant_dim", p, None, 70),
+            ("_highest_weight_bound", p, None, 70),
             ("image_rank", p, 70, 14),
             ("commutant_dim", None, None, 70),
             ("image_rank", None, None, 14),
@@ -627,12 +654,12 @@ class TestRankChain:
     def test_chain_grid_size(self):
         assert len(CHAIN_CASES) >= 9 and all(r + s <= 5 for _, r, s in CHAIN_CASES)
 
-    @pytest.mark.parametrize("q0", [Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("q0", [Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
     @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
     def test_both_routes_agree(self, n, r, s, q0):
         p = duality.CHAIN_PRIME
         assert image_rank(n, r, s, q0, p) == image_rank(n, r, s, q0)
-        assert commutant_dim(n, r, s, q0, p) == commutant_dim(n, r, s, q0)
+        assert duality._highest_weight_bound(n, r, s, q0, p) == commutant_dim(n, r, s, q0)
 
     @pytest.mark.parametrize("q0", [Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
     @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
@@ -653,9 +680,9 @@ class TestRankChain:
         report = verify_schur_weyl(2, 3, 2, Q0)
         p = duality.CHAIN_PRIME
         assert duality._rsk_count(2, 5) == 42
-        # The walled rank stops at nullity_p, the all-down rank at the RSK count.
-        assert ends == [("commutant_dim", p, None, 42), ("image_rank", p, 42, 42), ("image_rank", p, 42, 42)]
-        assert [(name, prime) for name, prime, _ in calls] == [("_rank_of_rows", p), ("_rank_up_to", p), ("_rank_up_to", p)]
+        # The walled rank stops at the highest-weight count, the all-down rank at the RSK count.
+        assert ends == [("_highest_weight_bound", p, None, 42), ("image_rank", p, 42, 42), ("image_rank", p, 42, 42)]
+        assert_weight_ranks_then_images_mod_p(calls)
         assert report.all_pass and report.hecke_annihilator_dim == 120 - 42
 
     def test_rsk_count_too_high_runs_the_q_route(self, monkeypatch):
@@ -677,6 +704,100 @@ class TestRankChain:
         assert claim.holds is False
         assert claim.detail == "walled side 78, all-down side 79"
         assert not report.all_pass
+
+#: Primes small enough that the generation check fails on some instances, and the points tried at each.
+SMALL_PRIMES = (3, 5, 7)
+SMALL_PRIME_POINTS = [Q0, Fraction(2), Fraction(1), Fraction(-1), Fraction(1, 3)]
+SMALL_PRIME_CASES = [(n, r, m - r) for n in (2, 3) for m in range(1, 5) for r in range(m + 1)]
+#: ``commutant_dim`` over Q, shared by the three primes.
+exact_commutant_dim = functools.cache(commutant_dim)
+
+
+class TestHighestWeightBound:
+    """The walled right end of the chain: the sum of m_lambda^2 mod p."""
+
+    @pytest.mark.parametrize("q0", [Q0, -Q0, Fraction(2), Fraction(1), Fraction(-1)], ids=str)
+    @pytest.mark.parametrize("n,r,s,dim", [(3, 2, 1, 6), (2, 3, 2, 42), (3, 2, 2, 23), (3, 3, 1, 23), (4, 2, 2, 24)])
+    def test_frozen_larger_instances(self, n, r, s, dim, q0):
+        assert duality._highest_weight_bound(n, r, s, q0, duality.CHAIN_PRIME) == dim
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_small_primes_bound_the_dimension_whenever_the_check_passes(self, p):
+        failed = passed = 0
+        for n, r, s in SMALL_PRIME_CASES:
+            for q0 in SMALL_PRIME_POINTS:
+                if q0.numerator % p == 0 or q0.denominator % p == 0:
+                    continue
+                bound = duality._highest_weight_bound(n, r, s, q0, p)
+                if bound is None:
+                    failed += 1
+                else:
+                    passed += 1
+                    assert bound >= exact_commutant_dim(n, r, s, q0), (n, r, s, q0)
+        assert failed and passed
+
+    def test_generation_check_fails_at_a_small_prime(self):
+        # q0 = 2 is -1 mod 3, where the check fails on (2, 2, 2).
+        assert duality._highest_weight_bound(2, 2, 2, Fraction(2), 3) is None
+        # mod 5 the check passes at q0 = 2 on (2, 3, 2), with a bound above the dimension 42 over Q.
+        assert duality._highest_weight_bound(2, 3, 2, Fraction(2), 5) == 70
+
+    def test_bound_one_too_high_runs_the_q_route(self, monkeypatch):
+        expected = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        exact = duality._highest_weight_bound
+        monkeypatch.setattr(duality, "_highest_weight_bound", lambda n, r, s, q0, p: exact(n, r, s, q0, p) + 1)
+        ends = record_ends(monkeypatch)
+        data = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        p = duality.CHAIN_PRIME
+        # 43 is never reached: every walled row is ranked mod p, and then both sides over Q.
+        assert ends[:4] == [
+            ("_highest_weight_bound", p, None, 43),
+            ("image_rank", p, 43, 42),
+            ("commutant_dim", None, None, 42),
+            ("image_rank", None, None, 42),
+        ]
+        assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    @pytest.mark.parametrize("n,r,s,failing", [(2, 3, 2, {"annihilatorMatch"}), (3, 2, 1, {"annihilatorMatch", "faithfulness"})])
+    def test_bound_one_too_low_fails_a_claim(self, monkeypatch, n, r, s, failing):
+        exact = duality._highest_weight_bound
+        monkeypatch.setattr(duality, "_highest_weight_bound", lambda n, r, s, q0, p: exact(n, r, s, q0, p) - 1)
+        report = verify_schur_weyl(n, r, s, Q0)
+        # The walled rank stops one short, where the too-low end says it is met.
+        assert report.image_rank == report.commutant_dim == exact(n, r, s, Q0, duality.CHAIN_PRIME) - 1
+        assert {claim.name for claim in report.claims if not claim.holds} == failing
+        assert not report.all_pass
+
+    def test_zero_lowering_action_fails_the_generation_check(self, monkeypatch):
+        expected = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        exact, bound_code = duality.gen_on_mixed, duality._highest_weight_bound.__code__
+
+        def lowering_zeroed_in_the_bound(gen, boundary, n):
+            action = exact(gen, boundary, n)
+            if isinstance(gen, F) and sys._getframe(1).f_code is bound_code:
+                return rep.OperatorMatrix(n, action.row_type, action.col_type)
+            return action
+
+        monkeypatch.setattr(duality, "gen_on_mixed", lowering_zeroed_in_the_bound)
+        ends = record_ends(monkeypatch)
+        data = verify_schur_weyl(2, 3, 2, Q0).to_json()
+        assert ends[:3] == [
+            ("_highest_weight_bound", duality.CHAIN_PRIME, None, None),
+            ("commutant_dim", None, None, 42),
+            ("image_rank", None, None, 42),
+        ]
+        assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    def test_no_blocked_system_at_r_plus_s_six(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the blocked commutant system was built")
+
+        monkeypatch.setattr(duality, "commutant_dim", forbidden)
+        calls = record_eliminations(monkeypatch)
+        report = verify_schur_weyl(2, 3, 3, Q0)
+        assert report.all_pass and report.image_rank == report.commutant_dim == 132
+        assert_weight_ranks_then_images_mod_p(calls)
+
 
 class TestVanishingCorrespondence:
     def test_kernel_elements_vanish_on_both_sides(self):
