@@ -436,12 +436,15 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     unity (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35
     (1990)).
 
-    The budget is charged with the blocked unknowns, before E or F is
-    rendered or any row is built.  Sorting the labels into weight spaces
-    reads the weight of every label, fixed by its n - 1 differences; an
-    instance with more of those than the budget is charged with them
-    instead, and refused before any weight is read.
+    A label count n below 1 is refused before any charge.  The budget is
+    charged with the blocked unknowns, before E or F is rendered or any row
+    is built.  Sorting the labels into weight spaces reads the weight of
+    every label, fixed by its n - 1 differences; an instance with more of
+    those than the budget is charged with them instead, and refused before
+    any weight is read.
     """
+    if n < 1:
+        raise ValueError(f"label count n must be at least 1, got {n}")
     boundary = algebra_type(r, s).top
     ResourceLimitError.check("the weight signature table", (n - 1) * n ** (r + s), "variables", VARIABLE_BUDGET)
     classes = _weight_classes(n, boundary)
@@ -608,11 +611,12 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     from every row, both over Q, and only that route can report a mismatch.
     It is also the only route when p divides q0's numerator or denominator.
 
-    Before any generator or diagram is rendered, the instance is charged
-    with its label-weight table, as in ``commutant_dim``, with its (r+s)!
-    basis words, as in ``image_rank``, and with the |mu0|^2 positions each
-    word's mu0 rows occupy, the width of every row and pivot of the image
-    rank.  The blocked system's own charge applies on the Q route alone.
+    A label count n below 1 is refused first.  Before any generator or
+    diagram is rendered, the instance is charged with its label-weight
+    table, as in ``commutant_dim``, with its (r+s)! basis words, as in
+    ``image_rank``, and with the |mu0|^2 positions each word's mu0 rows
+    occupy, the width of every row and pivot of the image rank.  The
+    blocked system's own charge applies on the Q route alone.
 
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
@@ -634,6 +638,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     too high is never reached, and the rank is taken over Q; one too low
     stops the rank short, and ``annihilatorMatch`` fails.
     """
+    if n < 1:
+        raise ValueError(f"label count n must be at least 1, got {n}")
     q0 = Fraction(q0)
     m = r + s
     p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None

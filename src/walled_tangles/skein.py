@@ -15,16 +15,24 @@ connector products and ``structure_constants`` make each output
 coefficient a LaurentPoly once, by ``from_exponent_map``, so neither runs
 Laurent arithmetic.
 
-Each step is evaluated by the descent engine, which repeatedly applies the
-crossing-switch relation: the difference between the two hands of a
-crossing equals (q^-1 - q) times the oriented smoothing.  Strand starts
-carry a fixed priority; a crossing is a violation when the strand pass that
-comes earlier (smaller priority, then earlier along its own strand) runs
-under.  Switching the first violation and recursing terminates in diagrams
-where every earlier pass runs over; those are evaluated directly: each
-closed loop is worth the quantum integer of n times q^(n * writhe), each
-kink on an open strand is worth q^(n * sign), and what remains is the
-crossing-minimal diagram of its connector.
+A peak's step, and a crossing's whose bottom points are not both UP, is
+read off the connector (see ``_step``): such a slice keeps the start order
+of the strands above it, so the canonical word stays descending above it.
+A peak adds a cup with coefficient 1; a crossing of two strands swaps their
+endpoints, adding sign * (q - q^-1) times its smoothing when its earlier
+start runs under; and a crossing on a cup is a curl, worth q^(n * sign).
+
+Valleys and crossings of two strand starts are evaluated by the descent
+engine, which repeatedly applies the crossing-switch relation: the
+difference between the two hands of a crossing equals (q^-1 - q) times the
+oriented smoothing.  Strand starts carry a fixed priority; a crossing is a
+violation when the strand pass that comes earlier (smaller priority, then
+earlier along its own strand) runs under.  Switching the first violation
+and recursing terminates in diagrams where every earlier pass runs over;
+those are evaluated directly: each closed loop is worth the quantum integer
+of n times q^(n * writhe), each kink on an open strand is worth
+q^(n * sign), and what remains is the crossing-minimal diagram of its
+connector.
 
 Elements of the algebra are exact Laurent combinations of connectors; the
 product of two connectors folds the slices of the second's canonical word
@@ -60,6 +68,7 @@ from .tangle import (
     apply_slice,
     canonical_basis_word,
     connector_of,
+    crossing_sign,
     enumerate_connectors,
     render_type,
     shifted_slices,
@@ -241,13 +250,72 @@ def _descending_value(word: TangleWord, n: int) -> tuple[Connector, LaurentPoly]
 
 @functools.cache
 def _step(connector: Connector, s: Slice, n: int) -> tuple[tuple[Connector, LaurentPoly], ...]:
-    """Normal form of the canonical word of ``connector`` followed by ``s``,
-    by descent at the default ranks: one column of the transfer matrix of
-    the slice over the connector basis."""
-    ty = connector.ty
-    slices = canonical_basis_word(connector).slices + (s,)
-    word = TangleWord(TangleType(ty.top, apply_slice(ty.bottom, s)), slices)
-    ranks = tuple(range(len(start_vertices(word.ty))))
+    """Normal form of the canonical word of ``connector`` followed by ``s``:
+    one column of the transfer matrix of the slice over the connector basis.
+
+    A peak, or a crossing whose bottom points are not both UP, is read off
+    the connector.  Such a slice leaves the start order of the strands above
+    it as it was, so the canonical word, whose every crossing has the
+    earlier start over, stays descending above it at the default ranks.
+
+    * A peak crosses nothing: the column is the connector with a
+      crossing-free cup added at bottom p, p+1 and the later bottom points
+      moved right by 2, with coefficient 1.
+    * A crossing of two strands swaps their bottom endpoints.  When the
+      earlier start (the lower edge index) runs over, the word is
+      descending and the column is the swapped connector.  Otherwise the
+      crossing-switch relation gives the swapped connector plus
+      sign * (q - q^-1) times the oriented smoothing, where sign is the
+      crossing's writhe sign; the smoothing of a (v,v) crossing is the
+      connector itself, and of a mixed one a valley and a peak, folded
+      like any word because the fold is an algebra map.
+    * A crossing of one strand with itself closes a cup whose endpoints
+      are adjacent, so no strand crosses that cup in the crossing-minimal
+      canonical word: it is a curl, worth q^(n * sign) whatever its hand.
+      Switching it adds sign * (q - q^-1) times a free loop, worth [n],
+      and q^(-n * sign) + sign * (q^n - q^-n) = q^(n * sign).
+
+    A valley, or a crossing of two UP points (two strand starts, whose
+    order it swaps), is normalized by descent (``_descent_step``).
+    """
+    bottom = connector.ty.bottom
+    ty = TangleType(connector.ty.top, apply_slice(bottom, s))
+    p = s.pos
+    left, right = ("B", p), ("B", p + 1)
+    if isinstance(s, Max):
+        cup = (left, right) if ty.bottom[p - 1] is UP else (right, left)
+        moved = tuple(tuple(("B", v[1] + 2) if v[0] == "B" and v[1] >= p else v for v in e) for e in connector.edges)
+        return ((Connector(ty, moved + (cup,)), ONE),)
+    entry = bottom[p - 1 : p + 1]
+    if isinstance(s, Min) or entry == (UP, UP):
+        return _descent_step(connector, ty, s, n)
+    swap = {left: right, right: left}
+    edges = connector.edges
+    swapped = Connector(ty, ((swap.get(start, start), swap.get(end, end)) for start, end in edges))
+    a, b = (next(i for i, edge in enumerate(edges) if v in edge) for v in (left, right))
+    sign = crossing_sign(entry, s.hand)
+    if a == b:
+        return ((swapped, LaurentPoly.monomial(1, n * sign)),)
+    if (s.hand is Hand.FIRST_OVER) == (a < b):
+        return ((swapped, ONE),)
+    if entry[0] is entry[1]:
+        smoothing = {connector: {0: 1}}
+    else:
+        smoothing = _fold({connector: {0: 1}}, (Min(p), Max(p, PEAK_SWEEP[(entry[1], entry[0])])), n)
+    acc: dict[Connector, dict[int, int]] = {swapped: {0: 1}}
+    for target, k in smoothing.items():
+        into = acc.setdefault(target, {})
+        for e, c in k.items():
+            into[e + 1] = into.get(e + 1, 0) + sign * c
+            into[e - 1] = into.get(e - 1, 0) - sign * c
+    return tuple(_polys(acc).items())
+
+
+def _descent_step(connector: Connector, ty: TangleType, s: Slice, n: int) -> tuple[tuple[Connector, LaurentPoly], ...]:
+    """``_step`` by descent at the default ranks of the canonical word of
+    ``connector`` followed by ``s``, a word of type ``ty``."""
+    word = TangleWord(ty, canonical_basis_word(connector).slices + (s,))
+    ranks = tuple(range(len(start_vertices(ty))))
     acc: dict[Connector, dict[int, int]] = {}
     for coeff, base in _descend(word, ranks):
         target, extra = _descending_value(base, n)

@@ -503,6 +503,13 @@ class TestVerify:
         assert err.startswith("resource limit: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n,r,s", [("0", "1", "1"), ("0", "0", "0"), ("-2", "2", "1")])
+    def test_duality_label_count_below_one_is_a_usage_error(self, capsys, n, r, s):
+        code, out, err = run_cli(capsys, "verify", "duality", "--n", n, "--r", r, "--s", s)
+        assert (code, out) == (2, "")
+        assert err == f"error: label count n must be at least 1, got {n}\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("suite", ["skein", "linking"])
     def test_sampled_suites_echo_their_seed(self, capsys, suite):
         data = run_json(

@@ -201,6 +201,17 @@ class TestExactRanks:
         with pytest.raises(ResourceLimitError):
             image_rank(2, 4, 4, Q0)
 
+    def test_label_count_below_one_is_refused_before_any_charge(self, monkeypatch):
+        def charged(cls, *args):
+            raise AssertionError("charged before the label count was checked")
+
+        monkeypatch.setattr(ResourceLimitError, "check", classmethod(charged))
+        for n, r, s in ((0, 1, 1), (0, 0, 0), (-1, 2, 2)):
+            with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
+                verify_schur_weyl(n, r, s, Q0)
+            with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
+                commutant_dim(n, r, s, Q0)
+
     def test_budget_charges_the_blocked_unknowns(self, monkeypatch):
         # (2, 2, 2) has 70 blocked unknowns, against 256 in the dense system.
         monkeypatch.setattr(duality, "VARIABLE_BUDGET", 70)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from types import MappingProxyType
 
@@ -8,10 +9,12 @@ import pytest
 from conftest import random_word, random_word_pair
 from descent_oracle import normalize_by_descent
 from walled_tangles.laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
+from walled_tangles import skein
 from walled_tangles.skein import (
     TangleElement,
     _connector_product,
     _descend,
+    _step,
     bend_first,
     element_of_connector,
     hecke_to_walled,
@@ -34,10 +37,13 @@ from walled_tangles.tangle import (
     TangleWord,
     algebra_type,
     all_down_type,
+    apply_slice,
     canonical_basis_word,
     connector_of,
     enumerate_connectors,
+    parse_word,
     stack,
+    start_vertices,
     vertex_name,
 )
 
@@ -182,6 +188,82 @@ class TestFold:
                 word = TangleWord(ty, [Cross(1, FU)] * k)
                 assert normalize(word, 2) == one.scaled(a) + positive.scaled(b), k
         assert _descend.cache_info().currsize - before <= 10
+
+
+def _balanced_types(widths):
+    """Every type whose (top, bottom) widths are listed and whose strand
+    starts match its ends."""
+    for top_width, bottom_width in widths:
+        for top in itertools.product((DOWN, UP), repeat=top_width):
+            for bottom in itertools.product((DOWN, UP), repeat=bottom_width):
+                ty = TangleType(top, bottom)
+                if 2 * len(start_vertices(ty)) == top_width + bottom_width:
+                    yield ty
+
+
+def _crossings_and_peaks(bottom):
+    w = len(bottom)
+    yield from (Cross(p, hand) for p in range(1, w) for hand in (FO, FU))
+    yield from (Max(p, sweep) for p in range(1, w + 2) for sweep in (L2R, R2L))
+
+
+class TestStep:
+    """``_step`` reads a peak's or a crossing's column off the connector
+    whenever the start order of the strands above it is kept; the
+    whole-word descent of the canonical word plus the slice is its
+    reference."""
+
+    @staticmethod
+    def assert_step_is_descent(connector, s, n):
+        ty = TangleType(connector.ty.top, apply_slice(connector.ty.bottom, s))
+        word = TangleWord(ty, canonical_basis_word(connector).slices + (s,))
+        step = TangleElement(word.ty, n, _step(connector, s, n))
+        assert step == normalize_by_descent(word, n), f"{connector} then {s}"
+        assert_canonical(step)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_slice_up_to_three_points_per_edge(self, n):
+        widths = [(a, b) for a in range(4) for b in range(4)]
+        for ty in _balanced_types(widths):
+            for connector in enumerate_connectors(ty):
+                for s in _crossings_and_peaks(ty.bottom):
+                    self.assert_step_is_descent(connector, s, n)
+
+    def test_every_slice_on_four_points_with_equal_edges(self):
+        for top in itertools.product((DOWN, UP), repeat=4):
+            ty = TangleType(top, top)
+            for connector in enumerate_connectors(ty):
+                for s in _crossings_and_peaks(ty.bottom):
+                    self.assert_step_is_descent(connector, s, 2)
+
+    def test_all_down_braid_never_descends(self, monkeypatch):
+        calls = []
+
+        def spy(word, ranks):
+            calls.append(word)
+            return _descend(word, ranks)
+
+        monkeypatch.setattr(skein, "_descend", spy)
+        before = _descend.cache_info().currsize
+        # n = 7 is used by no other test, so every step misses the step memo.
+        word = parse_word("X-(1) X+(2) X-(3) X-(2) X+(1) X-(3) X-(1) X+(2) X-(2)", all_down_type(4))
+        assert normalize(word, 7).terms
+        assert calls == []
+        assert _descend.cache_info().currsize == before
+
+    def test_two_start_crossing_and_valley_still_descend(self, monkeypatch):
+        seen = []
+
+        def spy(connector, ty, s, n):
+            seen.append(s)
+            return descent_step(connector, ty, s, n)
+
+        descent_step = skein._descent_step
+        monkeypatch.setattr(skein, "_descent_step", spy)
+        # (^,^) at 3, a valley at 2, then a peak and (v,^), (^,v) crossings, which are read off.
+        word = parse_word("X-(1) X+(3) U(2) N<(2) X-(2) X-(2)", algebra_type(2, 2))
+        assert normalize(word, 7).terms
+        assert set(seen) == {Cross(3, FO), Min(2)}
 
 
 class TestElementArithmetic:
