@@ -10,9 +10,9 @@ no rank depends on.  Containment is proved identically in q once per
 elementary slice of the basis words, which by functoriality covers every
 basis matrix (``_first_uncommuting_step``).
 
-``_rank_of_rows`` ranks integer rows over Q, fraction-free, or mod a prime
-p.  Reducing an integer matrix mod p can only lower its rank, and the
-containment sits in between, so
+One eliminator per field: ``_rank_of_rows`` over Q, fraction-free, and
+``_rank_up_to`` mod a prime p.  Reducing an integer matrix mod p can only
+lower its rank, and the containment sits in between, so
 
     rank_p(mu0 rows) <= rank_Q(image) <= dim_Q End_U(M) <= sum m_lambda^2,
 
@@ -30,9 +30,9 @@ so it can only lower the rank.  The upper ends are (r+s)! when n >= r + s,
 which the (r+s)! basis matrices give with no certificate; the
 highest-weight count for the walled rank; and for the all-down rank behind
 ``annihilatorMatch``, the RSK count ``_rsk_count``, by quantum Schur-Weyl
-duality (``verify_schur_weyl`` says why).  When the ends do not meet, every
-row is ranked, and then the rank is taken over Q.  The row order decides
-only how soon the elimination stops, never what is reported.
+duality (``verify_schur_weyl`` says why).  If the lower end meets none
+of them, the rank is taken once over Q, from every row.  The row order
+decides only how soon the elimination stops, never what is reported.
 
 Both sides read one weight per label, ``rep.label_weight``, and the
 commutant's unknowns lie inside the weight spaces at every nonzero rational
@@ -104,38 +104,31 @@ class ResourceLimitError(RuntimeError):
 # -- exact linear algebra over the integers -----------------------------------
 
 
-def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], p: Optional[int] = None) -> int:
-    """Rank of sparse integer rows over Q, or over F_p given a prime p.
+def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
+    """Rank of sparse integer rows over Q (mod a prime: ``_rank_up_to``).
 
     Each row maps column keys to integers; absent keys are zero.  Columns
     are eliminated in sorted order: each step picks the sparsest row holding
     the column as pivot and combines it into every other such row, so only
     occupied positions are ever touched.  The rows passed in are not changed.
 
-    Over Q the elimination is fraction-free.  Rows are divided by their
-    content once; each combination cross-multiplies the two rows and divides
-    out the content, so every intermediate entry stays an exact integer of
-    moderate size.  Mod p every entry is reduced once, the pivot is scaled
-    to a leading 1 by its inverse, and each combination subtracts a multiple
-    of it in place, with no gcd.  Reducing mod p can only lower the rank.
+    The elimination is fraction-free.  Rows are divided by their content
+    once; each combination cross-multiplies the two rows and divides out the
+    content, so every intermediate entry stays an exact integer of moderate
+    size.
 
     >>> _rank_of_rows([{0: 1, 1: 2}, {0: -3, 1: -6}, {2: 3}])
     2
     >>> _rank_of_rows([{0: 1, 1: 2}, {0: 3, 1: 13}])
     2
-    >>> _rank_of_rows([{0: 1, 1: 2}, {0: 3, 1: 13}], p=7)
-    1
     """
     work: dict[int, dict] = {}
     holders: dict[Hashable, set[int]] = {}
     for rid, row in enumerate(rows):
-        if p is None:
-            ints = {col: value for col, value in row.items() if value}
-            g = gcd(*ints.values())
-            if g > 1:
-                ints = {col: value // g for col, value in ints.items()}
-        else:
-            ints = {col: residue for col, value in row.items() if (residue := value % p)}
+        ints = {col: value for col, value in row.items() if value}
+        g = gcd(*ints.values())
+        if g > 1:
+            ints = {col: value // g for col, value in ints.items()}
         if not ints:
             continue
         work[rid] = ints
@@ -151,25 +144,8 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], p: Optional[int] = Non
         for c in pivot:
             holders[c].discard(piv)
         pv = pivot[col]
-        if p is not None:
-            inverse = pow(pv, -1, p)
-            pivot = {c: value * inverse % p for c, value in pivot.items()}
         for rid in list(candidates):
             row = work[rid]
-            if p is not None:
-                b = row[col]
-                for c, value in pivot.items():
-                    entry = (row.get(c, 0) - b * value) % p
-                    if entry:
-                        if c not in row:
-                            holders[c].add(rid)
-                        row[c] = entry
-                    elif c in row:
-                        del row[c]
-                        holders[c].discard(rid)
-                if not row:
-                    del work[rid]
-                continue
             f = gcd(row[col], pv)
             a, b = pv // f, row[col] // f
             reduced = {c: a * value for c, value in row.items()}
@@ -195,7 +171,8 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], p: Optional[int] = Non
 
 def _rank_up_to(rows: Iterable[Mapping[Hashable, int]], p: int, bound: int) -> int:
     """Rank mod the prime p of the rows taken in order, stopped as soon as it
-    reaches ``bound``: no row after that one is read.
+    reaches ``bound``: no row after that one is read.  It is the one
+    eliminator mod p; with ``bound`` the number of rows, it ranks them all.
 
     Each row is reduced mod p and packed into one int, one slot of ``width``
     bits per column, so that every step below is a big-integer operation
@@ -288,15 +265,14 @@ def generator_sweep(n: int) -> tuple[UGenerator, ...]:
     return tuple(gens)
 
 
-def _first_uncommuting_step(
-    n: int, r: int, s: int, all_down: bool = False
-) -> Optional[tuple[TangleWord, UGenerator]]:
+def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord, UGenerator]]:
     """Symbolic proof that every basis matrix commutes with the whole algebra.
 
     The basis matrices are the products of the slice matrices of the
     canonical basis words, the words ``image_rank`` specializes: those of
-    the walled type (r, s), and with ``all_down`` those of the all-down type
-    on r + s points too.  A slice matrix is a local block (a crossing on 2
+    the walled type (r, s), and when n < r + s, where ``verify_schur_weyl``
+    stops the all-down rank at the RSK count, those of the all-down type on
+    r + s points too.  A slice matrix is a local block (a crossing on 2
     points, a valley from 2 points to none, a peak from none to 2) tensored
     with identities.  The local steps of all the words are collected once,
     keyed by the points the slice touches and the slice moved to position 1,
@@ -317,7 +293,7 @@ def _first_uncommuting_step(
     Returns the first failing step, as a one-slice word, and generator, or
     None.
     """
-    types = [algebra_type(r, s)] + ([all_down_type(r + s)] if all_down else [])
+    types = [algebra_type(r, s)] + ([all_down_type(r + s)] if n < r + s else [])
     steps: dict[tuple, None] = {}
     for ty in types:
         for connector in enumerate_connectors(ty):
@@ -355,10 +331,8 @@ def _weight_classes(n: int, boundary: Sequence[Orientation]) -> list[list[MultiI
     return list(classes.values())
 
 
-def image_rank(
-    n: int, r: int, s: int, q0: ExactRational, p: Optional[int] = None, upper: Optional[int] = None
-) -> int:
-    """Rank of the span of all basis diagram matrices at the specialization.
+def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] = None) -> int:
+    """Rank over Q of the span of all basis diagram matrices at q0.
 
     Each of the (r+s)! connectors is rendered from its canonical basis word
     directly at q0 by ``specialized_word_matrices``, which is exact because
@@ -366,8 +340,8 @@ def image_rank(
     dropped, is flattened to a sparse vector over the occupied positions.
 
     The rank is first bounded from below by the rows of the most populous
-    weight space, rendered alone and ranked mod p (``CHAIN_PRIME``
-    when p is None) in the order ``ROW_ORDER_SEED`` shuffles the words
+    weight space, rendered alone and ranked mod ``CHAIN_PRIME`` by
+    ``_rank_up_to`` in the order ``ROW_ORDER_SEED`` shuffles the words
     into, stopped at the smallest proved upper end: (r+s)! when n >= r + s,
     since (r+s)! matrices span at most (r+s)! dimensions, and ``upper``,
     which a caller passes only when it has proved it.  Leaving rows out of
@@ -378,8 +352,8 @@ def image_rank(
     RSK count, so a caller that compares its rank with one compares two
     independent numbers.
 
-    Otherwise every row is ranked, over Q, or mod p given a prime p, which
-    gives a lower bound on the rank over Q.
+    Otherwise, or with no upper end at all, every row is ranked once, over
+    Q, by ``_rank_of_rows``.
     """
     m = r + s
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
@@ -401,9 +375,9 @@ def image_rank(
         # The shuffled rows mostly reach the end within the first bound of them, so the
         # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
         chunks = (vectors(shuffled[i : i + 2 * bound], weight_space) for i in range(0, len(shuffled), 2 * bound))
-        if _rank_up_to((row for chunk in chunks for row in chunk), CHAIN_PRIME if p is None else p, bound) == bound:
+        if _rank_up_to((row for chunk in chunks for row in chunk), CHAIN_PRIME, bound) == bound:
             return bound
-    return _rank_of_rows(vectors(words), p)
+    return _rank_of_rows(vectors(words))
 
 
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
@@ -522,7 +496,7 @@ def _highest_weight_bound(n: int, r: int, s: int, q0: ExactRational, p: int) -> 
             landing.setdefault(weight_of[next(iter(row))], []).append(row)
     bound = 0
     for w, block in enumerate(classes):
-        top = _rank_of_rows((raising.get(label, {}) for label in block), p)
+        top = _rank_up_to([raising.get(label, {}) for label in block], p, len(block))
         if top:
             products = []
             for row in landing.get(w, ()):
@@ -531,7 +505,7 @@ def _highest_weight_bound(n: int, r: int, s: int, q0: ExactRational, p: int) -> 
                     for col, entry in raising.get(label, {}).items():
                         product[col] = product.get(col, 0) + value * entry
                 products.append(product)
-            if _rank_of_rows(products, p) != top:
+            if _rank_up_to(products, p, len(products)) != top:
                 return None
         bound += (len(block) - top) ** 2
     return bound
@@ -593,8 +567,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     The duality holds at every invertible q, so the ranks are compared at
     the requested point only, and a mismatch there is a failure.
 
-    The walled ranks are decided mod p = ``CHAIN_PRIME`` first, from the
-    chain
+    The commutation claim is checked first.  The walled ranks are then
+    decided mod p = ``CHAIN_PRIME``, from the chain
 
         rank_p(mu0 rows) <= rank_Q(image) <= dim_Q End_U(M) <= sum m_lambda^2.
 
@@ -606,10 +580,13 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     generation check passes.  So when that check and the claim pass and the
     two ends are equal, all four numbers are equal, and the mod-p ones are
     the exact ranks over Q.  ``image_rank`` takes the count as its upper end
-    and stops once its rows reach it.  Otherwise the commutant dimension is
-    taken from the blocked system (``commutant_dim``) and the image rank
-    from every row, both over Q, and only that route can report a mismatch.
-    It is also the only route when p divides q0's numerator or denominator.
+    and stops once its rows reach it; when they do not, it ranks every row
+    once over Q, and the commutant dimension is taken from the blocked
+    system (``commutant_dim``), over Q too.  Only that route can report a
+    mismatch.  With the claim failed, or p dividing q0's numerator or
+    denominator, there is no chain and no upper end is passed: an image
+    rank that does not meet (r+s)! is one rank over Q.  Each side calls
+    ``image_rank`` once.
 
     A label count n below 1 is refused first.  Before any generator or
     diagram is rendered, the instance is charged with its label-weight
@@ -620,8 +597,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
 
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
-    end when n < m; for n >= m, m! needs no certificate.  The commutation
-    pass then certifies the all-down local steps too, which puts the
+    end when n < m; for n >= m, m! needs no certificate.  When n < m the
+    commutation pass certifies the all-down local steps too, which puts the
     all-down image inside End_U(V^(x)m), and End_U(V^(x)m) has the RSK count
     as its dimension at every rational q0.  That is quantum Schur-Weyl
     duality (Jimbo, Lett. Math. Phys. 11 (1986); over every ring, Du,
@@ -643,32 +620,23 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     q0 = Fraction(q0)
     m = r + s
     p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
-    all_down_by_chain = p is not None and n < m
     ResourceLimitError.check("the weight signature table", (n - 1) * n**m, "variables", VARIABLE_BUDGET)
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
     mu0 = max(len(block) for block in _weight_classes(n, algebra_type(r, s).top))
     ResourceLimitError.check("the weight-space rank", mu0**2, "variables", VARIABLE_BUDGET)
     started = time.perf_counter()
-    dim = None if p is None else _highest_weight_bound(n, r, s, q0, p)
-    rank = None if dim is None else image_rank(n, r, s, q0, p, dim)
+    failure = _first_uncommuting_step(n, r, s)
+    commutation_seconds = time.perf_counter() - started
+
+    chain = p is not None and failure is None
+    started = time.perf_counter()
+    upper = _highest_weight_bound(n, r, s, q0, p) if chain else None
+    rank = image_rank(n, r, s, q0, upper)
+    dim = rank if rank == upper else commutant_dim(n, r, s, q0)
     ranks_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    failure = _first_uncommuting_step(n, r, s, all_down=all_down_by_chain)
-    commutation_seconds = time.perf_counter() - started
-
-    if dim is None or failure is not None or rank != dim:
-        started = time.perf_counter()
-        dim = commutant_dim(n, r, s, q0)
-        rank = image_rank(n, r, s, q0)
-        ranks_seconds += time.perf_counter() - started
-
-    started = time.perf_counter()
-    upper = _rsk_count(n, m) if all_down_by_chain and failure is None else None
-    if upper is not None and image_rank(n, m, 0, q0, p, upper) == upper:
-        all_down_rank = upper
-    else:
-        all_down_rank = image_rank(n, m, 0, q0)
+    all_down_rank = image_rank(n, m, 0, q0, _rsk_count(n, m) if chain and n < m else None)
     tangle_ann = factorial(m) - rank
     hecke_ann = factorial(m) - all_down_rank
     timings = (

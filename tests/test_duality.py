@@ -91,7 +91,7 @@ class TestRankOfRows:
         rank = duality._rank_of_rows(rows)
         assert rank == dense_rank(dense)
         for p in (2, 7, duality.CHAIN_PRIME):
-            assert duality._rank_of_rows(rows, p) == dense_rank_mod_p(dense, p) <= rank
+            assert duality._rank_up_to(rows, p, len(rows)) == dense_rank_mod_p(dense, p) <= rank
 
     def test_empty_and_zero_rows(self):
         assert duality._rank_of_rows([]) == 0
@@ -100,15 +100,16 @@ class TestRankOfRows:
     def test_reduction_mod_p_can_lower_the_rank(self):
         rows = [{0: 1}, {1: 7}]
         assert duality._rank_of_rows(rows) == 2
-        assert duality._rank_of_rows(rows, p=7) == 1
-        assert duality._rank_of_rows([], 7) == duality._rank_of_rows([{}, {3: 14}, {1: -7}], 7) == 0
+        assert duality._rank_up_to(rows, 7, len(rows)) == 1
+        assert duality._rank_up_to([], 7, 0) == duality._rank_up_to([{}, {3: 14}, {1: -7}], 7, 3) == 0
 
     @pytest.mark.parametrize("p", [None, 7, duality.CHAIN_PRIME])
     def test_rows_passed_in_are_not_changed(self, p):
         rows = random_integer_rows(random.Random(5), 24, 40, 8)
         before = [dict(row) for row in rows]
-        duality._rank_of_rows(rows, p)
-        if p is not None:
+        if p is None:
+            duality._rank_of_rows(rows)
+        else:
             duality._rank_up_to(rows, p, len(rows))
         assert rows == before
 
@@ -296,8 +297,8 @@ class TestWeightRowCertificate:
         monkeypatch.setattr(duality, "_weight_classes", lambda n, boundary: [[(1, 2, 3, 4)]])
         assert image_rank(4, 2, 2, Q0) == 24
         # The restricted rank mod p stops short of 24, and every row is then ranked over Q.
-        assert [(name, p) for name, p, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
-        assert ranks[0][2] < 24 and ranks[1][2] == 24
+        assert [(name, p) for name, p, _, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
+        assert ranks[0][3] < 24 and ranks[1][3] == 24
 
     @pytest.mark.parametrize("n,r,s,restricted", [(4, 2, 2, True), (5, 3, 1, True), (3, 2, 2, False), (2, 3, 0, False)])
     def test_rows_are_restricted_only_when_n_reaches_r_plus_s(self, monkeypatch, n, r, s, restricted):
@@ -409,7 +410,6 @@ class TestSliceCertificate:
     )
     def test_certificate_agrees_with_every_basis_commutator(self, n, r, s):
         assert duality._first_uncommuting_step(n, r, s) is None
-        assert duality._first_uncommuting_step(n, r, s, all_down=True) is None
         boundary = algebra_type(r, s).top
         connectors = enumerate_connectors(algebra_type(r, s))
         matrices = [matrix_by_descent(c, n) for c in connectors]
@@ -444,8 +444,8 @@ class TestSliceCertificate:
 
 
     def test_broken_all_down_block_fails_the_claim(self, monkeypatch):
-        # At (2, 1, 2) no walled basis word crosses two DOWN strands; only the
-        # all-down steps, certified for the all-down rank, hold that block.
+        # No walled basis word of type (1, 2) crosses two DOWN strands; only the
+        # all-down steps, certified when n < r + s for the all-down rank, hold that block.
         exact = rep._local_cross
 
         def swapped_diagonal(n, entry, hand):
@@ -455,11 +455,12 @@ class TestSliceCertificate:
             return {(row, col): {Q: QINV, QINV: Q}.get(v, v) if row == col else v for (row, col), v in local.items()}
 
         monkeypatch.setattr(rep, "_local_cross", swapped_diagonal)
-        assert duality._first_uncommuting_step(2, 1, 2) is None
-        step, gen = duality._first_uncommuting_step(2, 1, 2, all_down=True)
+        step, gen = duality._first_uncommuting_step(2, 1, 2)
         assert str(step) == "vv|vv : X+(1)"
         (claim,) = [c for c in verify_schur_weyl(2, 1, 2, Q0).claims if c.name == "commutation"]
         assert claim.holds is False
+        # At n >= r + s the all-down rank stops at (r+s)!, which needs no certificate: no all-down step is checked.
+        assert duality._first_uncommuting_step(3, 1, 2) is None
 
     def test_steps_are_deduplicated_before_any_word_is_built(self, monkeypatch):
         built = []
@@ -470,7 +471,7 @@ class TestSliceCertificate:
             return exact(*args, **kwargs)
 
         monkeypatch.setattr(duality, "TangleWord", counted)
-        assert duality._first_uncommuting_step(2, 3, 2, all_down=True) is None
+        assert duality._first_uncommuting_step(2, 3, 2) is None
         assert built == []
 
 
@@ -541,18 +542,27 @@ class TestVerifyReport:
 
 
 def record_eliminations(monkeypatch) -> list:
-    """Spy on both eliminators: (name, prime, rank) of each call, prime
-    None over Q; ``_rank_up_to`` always has a prime."""
+    """Spy on both eliminators: (name, prime, columns read, rank) of each
+    call; the prime is None for ``_rank_of_rows``, which works over Q."""
     calls = []
     exact_rows, exact_up_to = duality._rank_of_rows, duality._rank_up_to
 
-    def rank_of_rows(rows, p=None):
-        calls.append(("_rank_of_rows", p, exact_rows(rows, p)))
-        return calls[-1][2]
+    def reading(rows, columns: set):
+        for row in rows:
+            columns.update(row)
+            yield row
+
+    def rank_of_rows(rows):
+        columns: set = set()
+        rank = exact_rows(reading(rows, columns))
+        calls.append(("_rank_of_rows", None, len(columns), rank))
+        return rank
 
     def rank_up_to(rows, p, bound):
-        calls.append(("_rank_up_to", p, exact_up_to(rows, p, bound)))
-        return calls[-1][2]
+        columns: set = set()
+        rank = exact_up_to(reading(rows, columns), p, bound)
+        calls.append(("_rank_up_to", p, len(columns), rank))
+        return rank
 
     monkeypatch.setattr(duality, "_rank_of_rows", rank_of_rows)
     monkeypatch.setattr(duality, "_rank_up_to", rank_up_to)
@@ -560,22 +570,22 @@ def record_eliminations(monkeypatch) -> list:
 
 
 def record_ends(monkeypatch) -> list:
-    """Spy on both routes: (name, prime, upper end, value) of each call;
+    """Spy on both routes: (name, upper end, value) of each call;
     ``_highest_weight_bound`` and ``commutant_dim`` take no upper end and
-    record None, and ``commutant_dim`` has no prime either."""
+    record None."""
     ends = []
 
     def bound(n, r, s, q0, p, exact=duality._highest_weight_bound):
-        ends.append(("_highest_weight_bound", p, None, exact(n, r, s, q0, p)))
-        return ends[-1][3]
+        ends.append(("_highest_weight_bound", None, exact(n, r, s, q0, p)))
+        return ends[-1][2]
 
     def commutant(n, r, s, q0, exact=duality.commutant_dim):
-        ends.append(("commutant_dim", None, None, exact(n, r, s, q0)))
-        return ends[-1][3]
+        ends.append(("commutant_dim", None, exact(n, r, s, q0)))
+        return ends[-1][2]
 
-    def rank(n, r, s, q0, p=None, upper=None, exact=duality.image_rank):
-        ends.append(("image_rank", p, upper, exact(n, r, s, q0, p, upper)))
-        return ends[-1][3]
+    def rank(n, r, s, q0, upper=None, exact=duality.image_rank):
+        ends.append(("image_rank", upper, exact(n, r, s, q0, upper)))
+        return ends[-1][2]
 
     monkeypatch.setattr(duality, "_highest_weight_bound", bound)
     monkeypatch.setattr(duality, "commutant_dim", commutant)
@@ -583,15 +593,13 @@ def record_ends(monkeypatch) -> list:
     return ends
 
 
-def assert_weight_ranks_then_images_mod_p(calls: list) -> None:
-    """The eliminations of a chain that closes: ``_rank_of_rows`` on the
-    weight spaces of ``_highest_weight_bound``, then the walled and the
-    all-down image rank by ``_rank_up_to``, every one mod ``CHAIN_PRIME``."""
-    p = duality.CHAIN_PRIME
-    names = [name for name, _, _ in calls]
-    assert names[-2:] == ["_rank_up_to", "_rank_up_to"]
-    assert set(names[:-2]) == {"_rank_of_rows"}
-    assert {prime for _, prime, _ in calls} == {p}
+def assert_chain_closes_mod_p(calls: list, report) -> None:
+    """The eliminations of a chain that closes: the weight spaces of
+    ``_highest_weight_bound``, then the walled and the all-down image rank,
+    the reported ones, every one by ``_rank_up_to`` mod ``CHAIN_PRIME``."""
+    assert {(name, p) for name, p, _, _ in calls} == {("_rank_up_to", duality.CHAIN_PRIME)}
+    m = report.r + report.s
+    assert [rank for *_, rank in calls[-2:]] == [report.image_rank, math.factorial(m) - report.hecke_annihilator_dim]
 
 
 #: The instances of the benchmark's ``duality`` workload, and five more, all with r + s <= 5.
@@ -609,32 +617,28 @@ class TestRankChain:
         # The weight spaces of the highest-weight count, then the walled image and the
         # all-down image, all mod p: the two images stop at their upper ends, and
         # nothing is ranked over Q.
-        assert_weight_ranks_then_images_mod_p(calls)
+        assert_chain_closes_mod_p(calls, report)
 
     def test_unlucky_prime_falls_back_to_q(self, monkeypatch):
         # 5/3 has order 3 mod 7, and the generation check fails: there is no upper end mod 7.
         monkeypatch.setattr(duality, "CHAIN_PRIME", 7)
+        calls = record_eliminations(monkeypatch)
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 3, 2, Q0)
-        assert ends[:1] == [("_highest_weight_bound", 7, None, None)]
-        assert ends[1:3] == [("commutant_dim", None, None, 42), ("image_rank", None, None, 42)]
+        assert ends[:3] == [("_highest_weight_bound", None, None), ("image_rank", None, 42), ("commutant_dim", None, 42)]
+        assert {p for _, p, _, _ in calls} == {7, None}
         assert report.all_pass
         assert (report.image_rank, report.commutant_dim) == (42, 42)
 
     def test_failed_commutation_claim_falls_back_to_q(self, monkeypatch):
         # Without the containment the chain proves nothing, even where its ends meet.
-        monkeypatch.setattr(duality, "_first_uncommuting_step", lambda n, r, s, all_down=False: ("a step", "a generator"))
+        monkeypatch.setattr(duality, "_first_uncommuting_step", lambda n, r, s: ("a step", "a generator"))
+        calls = record_eliminations(monkeypatch)
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 2, 2, Q0)
-        p = duality.CHAIN_PRIME
-        # The all-down rank, too, is taken over Q, and not against the RSK count.
-        assert ends == [
-            ("_highest_weight_bound", p, None, 14),
-            ("image_rank", p, 14, 14),
-            ("commutant_dim", None, None, 14),
-            ("image_rank", None, None, 14),
-            ("image_rank", None, None, 14),
-        ]
+        # No upper end is computed, and both image ranks, the all-down one too, are one rank over Q.
+        assert ends == [("image_rank", None, 14), ("commutant_dim", None, 14), ("image_rank", None, 14)]
+        assert [(name, p) for name, p, _, _ in calls] == [("_rank_of_rows", None)] * 3
         assert [claim.holds for claim in report.claims] == [False, True, True, True]
 
     def test_prime_dividing_q0_goes_straight_to_q(self, monkeypatch):
@@ -642,7 +646,7 @@ class TestRankChain:
         monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
         calls = record_eliminations(monkeypatch)
         data = verify_schur_weyl(2, 2, 2, Q0).to_json()
-        assert [(name, p) for name, p, _ in calls] == [("_rank_of_rows", None)] * 3
+        assert [(name, p) for name, p, _, _ in calls] == [("_rank_of_rows", None)] * 3
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
     def test_cartan_only_sweep_is_a_mismatch_over_q(self, monkeypatch):
@@ -650,17 +654,51 @@ class TestRankChain:
         monkeypatch.setattr(duality, "generator_sweep", lambda n: tuple(g for g in exact(n) if isinstance(g, K)))
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 2, 2, Q0)
-        p = duality.CHAIN_PRIME
-        assert ends[:4] == [
-            ("_highest_weight_bound", p, None, 70),
-            ("image_rank", p, 70, 14),
-            ("commutant_dim", None, None, 70),
-            ("image_rank", None, None, 14),
+        # The walled rows never reach 70, so the walled rank is taken over Q; the all-down rank meets its RSK count.
+        assert ends == [
+            ("_highest_weight_bound", None, 70),
+            ("image_rank", 70, 14),
+            ("commutant_dim", None, 70),
+            ("image_rank", 14, 14),
         ]
         assert not report.all_pass
         (claim,) = [c for c in report.claims if c.name == "rankMatch"]
         assert claim.holds is False
         assert claim.detail == f"image rank 14, commutant dimension 70 at q = {Q0}"
+
+    @pytest.mark.parametrize("short_side", ["walled", "all-down"])
+    def test_a_side_stopped_short_ranks_once_over_q(self, monkeypatch, short_side):
+        # The walled rows never reach the Cartan-only sweep's count 70 at (2, 2, 2);
+        # the all-down rows never reach an RSK count forced to 43 at (2, 3, 2).
+        if short_side == "walled":
+            n, r, s, exact = 2, 2, 2, duality.generator_sweep
+            monkeypatch.setattr(duality, "generator_sweep", lambda n: tuple(g for g in exact(n) if isinstance(g, K)))
+        else:
+            n, r, s, exact = 2, 3, 2, duality._rsk_count
+            monkeypatch.setattr(duality, "_rsk_count", lambda n, m: exact(n, m) + 1)
+        calls = record_eliminations(monkeypatch)
+        sides = []
+
+        def rank(n, r, s, q0, *rest, exact=duality.image_rank):
+            start = len(calls)
+            value = exact(n, r, s, q0, *rest)
+            sides.append(((r, s), calls[start:]))
+            return value
+
+        monkeypatch.setattr(duality, "image_rank", rank)
+        verify_schur_weyl(n, r, s, Q0)
+        assert [ty for ty, _ in sides] == [(r, s), (r + s, 0)]
+        p = duality.CHAIN_PRIME
+        for (side_r, side_s), eliminations in sides:
+            stopped_short = (side_s == 0) == (short_side == "all-down")
+            routes = [(name, prime) for name, prime, _, _ in eliminations]
+            assert routes == [("_rank_up_to", p)] + [("_rank_of_rows", None)] * stopped_short
+            # The rank mod p reads the most populous weight space's rows alone, never every row.
+            mu0 = len(largest_weight_space(n, algebra_type(side_r, side_s).top))
+            (width,) = [width for _, prime, width, _ in eliminations if prime is not None]
+            assert width <= mu0**2
+            if stopped_short:
+                assert eliminations[-1][2] > mu0**2
 
     def test_chain_grid_size(self):
         assert len(CHAIN_CASES) >= 9 and all(r + s <= 5 for _, r, s in CHAIN_CASES)
@@ -668,9 +706,9 @@ class TestRankChain:
     @pytest.mark.parametrize("q0", [Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
     @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
     def test_both_routes_agree(self, n, r, s, q0):
-        p = duality.CHAIN_PRIME
-        assert image_rank(n, r, s, q0, p) == image_rank(n, r, s, q0)
-        assert duality._highest_weight_bound(n, r, s, q0, p) == commutant_dim(n, r, s, q0)
+        bound = duality._highest_weight_bound(n, r, s, q0, duality.CHAIN_PRIME)
+        assert bound == commutant_dim(n, r, s, q0)
+        assert image_rank(n, r, s, q0, bound) == image_rank(n, r, s, q0)
 
     @pytest.mark.parametrize("q0", [Q0, Fraction(1), Fraction(-1), Fraction(2)], ids=str)
     @pytest.mark.parametrize("n,r,s", CHAIN_CASES, ids=str)
@@ -678,7 +716,7 @@ class TestRankChain:
         calls = record_eliminations(monkeypatch)
         report = verify_schur_weyl(n, r, s, q0)
         # Both chains close mod p: nothing is ranked over Q.
-        assert all(p is not None for _, p, _ in calls)
+        assert all(p is not None for _, p, _, _ in calls)
         m = r + s
         assert report.all_pass
         assert report.image_rank == full_rows_rank(n, r, s, q0)
@@ -689,22 +727,22 @@ class TestRankChain:
         calls = record_eliminations(monkeypatch)
         ends = record_ends(monkeypatch)
         report = verify_schur_weyl(2, 3, 2, Q0)
-        p = duality.CHAIN_PRIME
         assert duality._rsk_count(2, 5) == 42
         # The walled rank stops at the highest-weight count, the all-down rank at the RSK count.
-        assert ends == [("_highest_weight_bound", p, None, 42), ("image_rank", p, 42, 42), ("image_rank", p, 42, 42)]
-        assert_weight_ranks_then_images_mod_p(calls)
+        assert ends == [("_highest_weight_bound", None, 42), ("image_rank", 42, 42), ("image_rank", 42, 42)]
+        assert_chain_closes_mod_p(calls, report)
         assert report.all_pass and report.hecke_annihilator_dim == 120 - 42
 
     def test_rsk_count_too_high_runs_the_q_route(self, monkeypatch):
         expected = verify_schur_weyl(2, 3, 2, Q0).to_json()
         exact = duality._rsk_count
         monkeypatch.setattr(duality, "_rsk_count", lambda n, m: exact(n, m) + 1)
+        calls = record_eliminations(monkeypatch)
         ends = record_ends(monkeypatch)
         data = verify_schur_weyl(2, 3, 2, Q0).to_json()
-        p = duality.CHAIN_PRIME
-        # 43 is never reached: every row is ranked mod p, and then over Q.
-        assert ends[2:] == [("image_rank", p, 43, 42), ("image_rank", None, None, 42)]
+        # 43 is never reached by the weight-space rows mod p, and every row is then ranked over Q.
+        assert ends[2:] == [("image_rank", 43, 42)]
+        assert [(name, p) for name, p, _, _ in calls[-2:]] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
     def test_rsk_count_too_low_fails_the_annihilator_claim(self, monkeypatch):
@@ -759,13 +797,12 @@ class TestHighestWeightBound:
         monkeypatch.setattr(duality, "_highest_weight_bound", lambda n, r, s, q0, p: exact(n, r, s, q0, p) + 1)
         ends = record_ends(monkeypatch)
         data = verify_schur_weyl(2, 3, 2, Q0).to_json()
-        p = duality.CHAIN_PRIME
-        # 43 is never reached: every walled row is ranked mod p, and then both sides over Q.
-        assert ends[:4] == [
-            ("_highest_weight_bound", p, None, 43),
-            ("image_rank", p, 43, 42),
-            ("commutant_dim", None, None, 42),
-            ("image_rank", None, None, 42),
+        # 43 is never reached: the walled rank is taken over Q, and the commutant from the blocked system.
+        assert ends == [
+            ("_highest_weight_bound", None, 43),
+            ("image_rank", 43, 42),
+            ("commutant_dim", None, 42),
+            ("image_rank", 42, 42),
         ]
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
@@ -792,10 +829,11 @@ class TestHighestWeightBound:
         monkeypatch.setattr(duality, "gen_on_mixed", lowering_zeroed_in_the_bound)
         ends = record_ends(monkeypatch)
         data = verify_schur_weyl(2, 3, 2, Q0).to_json()
-        assert ends[:3] == [
-            ("_highest_weight_bound", duality.CHAIN_PRIME, None, None),
-            ("commutant_dim", None, None, 42),
-            ("image_rank", None, None, 42),
+        assert ends == [
+            ("_highest_weight_bound", None, None),
+            ("image_rank", None, 42),
+            ("commutant_dim", None, 42),
+            ("image_rank", 42, 42),
         ]
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
@@ -807,7 +845,7 @@ class TestHighestWeightBound:
         calls = record_eliminations(monkeypatch)
         report = verify_schur_weyl(2, 3, 3, Q0)
         assert report.all_pass and report.image_rank == report.commutant_dim == 132
-        assert_weight_ranks_then_images_mod_p(calls)
+        assert_chain_closes_mod_p(calls, report)
 
 
 class TestVanishingCorrespondence:
