@@ -15,24 +15,31 @@ connector products and ``structure_constants`` make each output
 coefficient a LaurentPoly once, by ``from_exponent_map``, so neither runs
 Laurent arithmetic.
 
-A peak's step, and a crossing's whose bottom points are not both UP, is
-read off the connector (see ``_step``): such a slice keeps the start order
-of the strands above it, so the canonical word stays descending above it.
-A peak adds a cup with coefficient 1; a crossing of two strands swaps their
-endpoints, adding sign * (q - q^-1) times its smoothing when its earlier
-start runs under; and a crossing on a cup is a curl, worth q^(n * sign).
+Every step but one kind is read off the connector (see ``_step``).  The
+canonical word is crossing-minimal, with the earlier start over at each
+crossing, so below a slice only the crossings of strands whose start order
+the slice changes can violate the descending order.  A peak adds a cup with
+coefficient 1.  A crossing of two strands swaps their endpoints, adding
+sign * (q - q^-1) times its smoothing unless the strand that starts earlier
+below it runs over or, for two strand starts that already cross, it undoes
+their crossing by a Reidemeister II move.  A crossing on a cup is a curl,
+worth q^(n * sign), and a valley on a cup a free loop, worth [n].  A valley
+that merges a strand A, which ends at it, into a strand B, which starts at
+it, keeps A's start.  When no strand ranked between them crosses B, and A
+starts earlier if they cross, the merged word is descending and their
+crossing becomes a kink, worth q^(n * sign).
 
-Valleys and crossings of two strand starts are evaluated by the descent
-engine, which repeatedly applies the crossing-switch relation: the
-difference between the two hands of a crossing equals (q^-1 - q) times the
-oriented smoothing.  Strand starts carry a fixed priority; a crossing is a
-violation when the strand pass that comes earlier (smaller priority, then
-earlier along its own strand) runs under.  Switching the first violation
-and recursing terminates in diagrams where every earlier pass runs over;
-those are evaluated directly: each closed loop is worth the quantum integer
-of n times q^(n * writhe), each kink on an open strand is worth
-q^(n * sign), and what remains is the crossing-minimal diagram of its
-connector.
+Only the other merging valleys are evaluated by the descent engine, which
+repeatedly applies the crossing-switch relation: the difference between the
+two hands of a crossing equals (q^-1 - q) times the oriented smoothing.
+Strand starts carry a fixed priority; a crossing is a violation when the
+strand pass that comes earlier (smaller priority, then earlier along its
+own strand) runs under.  Switching the first violation and recursing
+terminates in diagrams where every earlier pass runs over; those are
+evaluated directly: each closed loop is worth the quantum integer of n
+times q^(n * writhe), each kink on an open strand is worth q^(n * sign),
+and what remains is the crossing-minimal diagram of its connector.  The
+tests use the same engine on whole words as the reference for ``_step``.
 
 Elements of the algebra are exact Laurent combinations of connectors; the
 product of two connectors folds the slices of the second's canonical word
@@ -62,6 +69,7 @@ from .tangle import (
     Sweep,
     TangleType,
     TangleWord,
+    Vertex,
     _fold_words,
     algebra_type,
     all_down_type,
@@ -248,55 +256,108 @@ def _descending_value(word: TangleWord, n: int) -> tuple[Connector, LaurentPoly]
 # -- the fold over the connector basis ----------------------------------------
 
 
+def _interleave(e: tuple[Vertex, Vertex], f: tuple[Vertex, Vertex]) -> bool:
+    """Whether the endpoints of two edges interleave on the boundary circle,
+    which reads the bottom points from right to left, then the top points
+    from left to right."""
+    around = [v[1] if v[0] == "T" else -v[1] for v in e + f]
+    lo, hi = sorted(around[:2])
+    return (lo < around[2] < hi) != (lo < around[3] < hi)
+
+
+def _moved(edges: Iterable[tuple[Vertex, Vertex]], after: int, by: int) -> tuple[tuple[Vertex, Vertex], ...]:
+    """The edges with every bottom point right of position ``after`` moved
+    right by ``by``."""
+    return tuple(tuple(("B", v[1] + by) if v[0] == "B" and v[1] > after else v for v in e) for e in edges)
+
+
 @functools.cache
 def _step(connector: Connector, s: Slice, n: int) -> tuple[tuple[Connector, LaurentPoly], ...]:
     """Normal form of the canonical word of ``connector`` followed by ``s``:
     one column of the transfer matrix of the slice over the connector basis.
 
-    A peak, or a crossing whose bottom points are not both UP, is read off
-    the connector.  Such a slice leaves the start order of the strands above
-    it as it was, so the canonical word, whose every crossing has the
-    earlier start over, stays descending above it at the default ranks.
+    Every column is read off the connector but one kind, a merging valley
+    whose merged word is not descending.  The canonical word is
+    crossing-minimal: no strand crosses itself, and two strands cross at
+    most once, exactly when their endpoints interleave on the boundary
+    circle, with the earlier start (the lower edge index) over.  So it is
+    descending at the default ranks, and below a slice only the crossings
+    of strands whose start order the slice changes can violate.
 
     * A peak crosses nothing: the column is the connector with a
       crossing-free cup added at bottom p, p+1 and the later bottom points
       moved right by 2, with coefficient 1.
     * A crossing of two strands swaps their bottom endpoints.  When the
-      earlier start (the lower edge index) runs over, the word is
+      strand that starts earlier below it runs over, the word is
       descending and the column is the swapped connector.  Otherwise the
       crossing-switch relation gives the swapped connector plus
       sign * (q - q^-1) times the oriented smoothing, where sign is the
-      crossing's writhe sign; the smoothing of a (v,v) crossing is the
-      connector itself, and of a mixed one a valley and a peak, folded
+      crossing's writhe sign; the smoothing of a (v,v) or (^,^) crossing is
+      the connector itself, and of a mixed one a valley and a peak, folded
       like any word because the fold is an algebra map.
+    * A (^,^) crossing swaps two strand starts, adjacent in start order, so
+      it swaps their two priorities and no other: only their old crossing,
+      if they interleave, and the new one are involved.  Uncrossed, the new
+      crossing descends when the old later start runs over.  Crossed, the
+      old crossing now violates, and a new one with the same strand over
+      makes a Reidemeister II pair with it: that strand lies wholly above
+      the other, whose endpoints no longer interleave with its own, so the
+      column is the swapped connector.  The other hand switches into that.
     * A crossing of one strand with itself closes a cup whose endpoints
       are adjacent, so no strand crosses that cup in the crossing-minimal
       canonical word: it is a curl, worth q^(n * sign) whatever its hand.
       Switching it adds sign * (q - q^-1) times a free loop, worth [n],
       and q^(-n * sign) + sign * (q^n - q^-n) = q^(n * sign).
-
-    A valley, or a crossing of two UP points (two strand starts, whose
-    order it swaps), is normalized by descent (``_descent_step``).
+    * A valley on a cup closes a loop that, by the same argument, crosses
+      nothing and has writhe 0: the column is the connector without that
+      edge, the later bottom points moved left by 2, times [n].
+    * A valley on two strands merges A, the edge ending at its DOWN point,
+      with B, the edge starting at its UP point.  The strand A.B keeps A's
+      start; B's start leaves the start list and the other starts keep
+      their order, so only crossings with B can violate.  The merged word
+      is descending exactly when no strand ranked strictly between A and B
+      interleaves with B, and A ranks first if it crosses B.  Then the
+      column is the merged connector times q^(n * sigma): sigma is 0 when
+      A and B do not cross, and otherwise the sign of their crossing, now
+      a kink.  A crossing is positive exactly when, counterclockwise round
+      the boundary (left to right along the bottom), the under strand's
+      start lies between the over strand's start and end.  B's start sits
+      next to A's end, so sigma = +1 exactly when it is on the left, the
+      UP point at p.  Any other merge is normalized by descent
+      (``_descent_step``).
     """
     bottom = connector.ty.bottom
     ty = TangleType(connector.ty.top, apply_slice(bottom, s))
     p = s.pos
     left, right = ("B", p), ("B", p + 1)
+    edges = connector.edges
     if isinstance(s, Max):
         cup = (left, right) if ty.bottom[p - 1] is UP else (right, left)
-        moved = tuple(tuple(("B", v[1] + 2) if v[0] == "B" and v[1] >= p else v for v in e) for e in connector.edges)
-        return ((Connector(ty, moved + (cup,)), ONE),)
+        return ((Connector(ty, _moved(edges, p - 1, 2) + (cup,)), ONE),)
     entry = bottom[p - 1 : p + 1]
-    if isinstance(s, Min) or entry == (UP, UP):
-        return _descent_step(connector, ty, s, n)
-    swap = {left: right, right: left}
-    edges = connector.edges
-    swapped = Connector(ty, ((swap.get(start, start), swap.get(end, end)) for start, end in edges))
     a, b = (next(i for i, edge in enumerate(edges) if v in edge) for v in (left, right))
+    if isinstance(s, Min):
+        # A is edges[i], B is edges[j].
+        i, j = (a, b) if entry[0] is DOWN else (b, a)
+        kept = tuple(e for k, e in enumerate(edges) if k not in (i, j))
+        if i == j:
+            return ((Connector(ty, _moved(kept, p + 1, -2)), quantum_int(n)),)
+        crossed = _interleave(edges[i], edges[j])
+        between = edges[min(i, j) + 1 : max(i, j)]
+        if (crossed and i > j) or any(_interleave(e, edges[j]) for e in between):
+            return _descent_step(connector, ty, s, n)
+        kink = crossed * (1 if entry[0] is UP else -1)
+        merged = kept + ((edges[i][0], edges[j][1]),)
+        return ((Connector(ty, _moved(merged, p + 1, -2)), LaurentPoly.monomial(1, n * kink)),)
+    swap = {left: right, right: left}
+    swapped = Connector(ty, ((swap.get(start, start), swap.get(end, end)) for start, end in edges))
     sign = crossing_sign(entry, s.hand)
     if a == b:
         return ((swapped, LaurentPoly.monomial(1, n * sign)),)
-    if (s.hand is Hand.FIRST_OVER) == (a < b):
+    # Two strand starts swap priorities: uncrossed, the other hand descends;
+    # crossed, the same hand cancels their old crossing.
+    traded = entry == (UP, UP) and not _interleave(edges[a], edges[b])
+    if ((s.hand is Hand.FIRST_OVER) == (a < b)) != traded:
         return ((swapped, ONE),)
     if entry[0] is entry[1]:
         smoothing = {connector: {0: 1}}

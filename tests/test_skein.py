@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
@@ -14,6 +16,7 @@ from walled_tangles.skein import (
     TangleElement,
     _connector_product,
     _descend,
+    _first_violation,
     _step,
     bend_first,
     element_of_connector,
@@ -27,6 +30,7 @@ from walled_tangles.skein import (
 from walled_tangles.tangle import (
     DOWN,
     UP,
+    Connector,
     Cross,
     Hand,
     Max,
@@ -40,10 +44,12 @@ from walled_tangles.tangle import (
     apply_slice,
     canonical_basis_word,
     connector_of,
+    end_vertices,
     enumerate_connectors,
     parse_word,
     stack,
     start_vertices,
+    strand_graph,
     vertex_name,
 )
 
@@ -201,17 +207,37 @@ def _balanced_types(widths):
                     yield ty
 
 
-def _crossings_and_peaks(bottom):
+def _slices_below(bottom):
+    """Every crossing, valley and peak that fits under a level."""
     w = len(bottom)
     yield from (Cross(p, hand) for p in range(1, w) for hand in (FO, FU))
+    yield from (Min(p) for p in range(1, w) if bottom[p - 1] is not bottom[p])
     yield from (Max(p, sweep) for p in range(1, w + 2) for sweep in (L2R, R2L))
 
 
+def _branch(connector, s) -> tuple:
+    """Which rule of ``_step`` a two-start crossing or a valley falls under,
+    read off the traced canonical word and the descent engine, not off the
+    rule itself."""
+    word = canonical_basis_word(connector)
+    # Components of the canonical word are edge indices.
+    signs = {frozenset((x.component_a, x.component_b)): x.sign for x in strand_graph(word).crossings}
+    a, b = (next(i for i, edge in enumerate(connector.edges) if ("B", q) in edge) for q in (s.pos, s.pos + 1))
+    crossed = frozenset((a, b)) in signs
+    if isinstance(s, Cross):
+        return ("crossed" if crossed else "uncrossed", s.hand)
+    if a == b:
+        return ("cup",)
+    ty = TangleType(connector.ty.top, apply_slice(connector.ty.bottom, s))
+    if _first_violation(TangleWord(ty, word.slices + (s,)), tuple(range(len(start_vertices(ty))))):
+        return ("violating merge",)
+    return ("merge with kink", signs[frozenset((a, b))]) if crossed else ("merge",)
+
+
 class TestStep:
-    """``_step`` reads a peak's or a crossing's column off the connector
-    whenever the start order of the strands above it is kept; the
-    whole-word descent of the canonical word plus the slice is its
-    reference."""
+    """``_step`` reads every column off the connector but that of a merging
+    valley whose merged word is not descending; the whole-word descent of
+    the canonical word plus the slice is its reference."""
 
     @staticmethod
     def assert_step_is_descent(connector, s, n):
@@ -226,14 +252,14 @@ class TestStep:
         widths = [(a, b) for a in range(4) for b in range(4)]
         for ty in _balanced_types(widths):
             for connector in enumerate_connectors(ty):
-                for s in _crossings_and_peaks(ty.bottom):
+                for s in _slices_below(ty.bottom):
                     self.assert_step_is_descent(connector, s, n)
 
     def test_every_slice_on_four_points_with_equal_edges(self):
         for top in itertools.product((DOWN, UP), repeat=4):
             ty = TangleType(top, top)
             for connector in enumerate_connectors(ty):
-                for s in _crossings_and_peaks(ty.bottom):
+                for s in _slices_below(ty.bottom):
                     self.assert_step_is_descent(connector, s, 2)
 
     def test_all_down_braid_never_descends(self, monkeypatch):
@@ -251,19 +277,66 @@ class TestStep:
         assert calls == []
         assert _descend.cache_info().currsize == before
 
-    def test_two_start_crossing_and_valley_still_descend(self, monkeypatch):
+    def test_wide_two_start_crossings_and_valleys(self):
+        """Seeded types with 8 or 10 points, where the exhaustive sweeps do
+        not reach; every branch of the rule must be hit often."""
+        rng = random.Random(36)
+        hits = Counter()
+        while sum(hits.values()) < 2000:
+            size = rng.choice((8, 10))
+            top = rng.randint(0, size - 2)
+            points = [rng.choice((DOWN, UP)) for _ in range(size)]
+            ty = TangleType(tuple(points[:top]), tuple(points[top:]))
+            ends = list(end_vertices(ty))
+            if len(ends) != len(start_vertices(ty)):
+                continue
+            rng.shuffle(ends)
+            connector = Connector(ty, zip(start_vertices(ty), ends))
+            b = ty.bottom
+            choices = [
+                Cross(p, rng.choice((FO, FU))) if b[p - 1] is b[p] else Min(p)
+                for p in range(1, len(b))
+                if UP in b[p - 1 : p + 1]
+            ]
+            if choices:
+                s = rng.choice(choices)
+                hits[_branch(connector, s)] += 1
+                self.assert_step_is_descent(connector, s, 2)
+        branches = [(kind, hand) for kind in ("crossed", "uncrossed") for hand in (FO, FU)]
+        branches += [("cup",), ("merge",), ("merge with kink", 1), ("merge with kink", -1), ("violating merge",)]
+        assert set(hits) == set(branches)
+        assert min(hits.values()) >= 100, hits
+
+    def test_only_violating_merges_descend(self, monkeypatch):
+        """A fresh step memo, so that every step of these words misses it;
+        each call that reaches ``_descent_step`` is recorded."""
         seen = []
 
         def spy(connector, ty, s, n):
-            seen.append(s)
+            seen.append((connector, s))
             return descent_step(connector, ty, s, n)
 
         descent_step = skein._descent_step
         monkeypatch.setattr(skein, "_descent_step", spy)
-        # (^,^) at 3, a valley at 2, then a peak and (v,^), (^,v) crossings, which are read off.
-        word = parse_word("X-(1) X+(3) U(2) N<(2) X-(2) X-(2)", algebra_type(2, 2))
-        assert normalize(word, 7).terms
-        assert set(seen) == {Cross(3, FO), Min(2)}
+        monkeypatch.setattr(skein, "_step", functools.cache(_step.__wrapped__))
+        # (^,^) at 3, a merging valley at 2, then a peak and (v,^), (^,v) crossings.
+        assert normalize(parse_word("X-(1) X+(3) U(2) N<(2) X-(2) X-(2)", algebra_type(2, 2)), 7).terms
+        assert seen == []
+        # The second valley merges a strand into one that crosses it and starts earlier.
+        assert normalize(parse_word("E(2) X+(3) E(2)", algebra_type(2, 2)), 7).terms
+        assert [s for _, s in seen] == [Min(2)]
+        assert _branch(*seen[0]) == ("violating merge",)
+        seen.clear()
+        structure_constants(2, 2, 2)
+        for ty, text in (
+            (algebra_type(2, 2), "E(2) X-(1) X+(3) E(2)"),
+            (algebra_type(2, 2), "X+(3) E(2) X-(1) E(2) X-(3)"),
+            (algebra_type(3, 1), "E(3) X+(1) E(3)"),
+        ):
+            element = normalize(parse_word(text, ty), 3)
+            assert multiply(element, element).terms
+        assert seen
+        assert all(_branch(connector, s) == ("violating merge",) for connector, s in seen)
 
 
 class TestElementArithmetic:
