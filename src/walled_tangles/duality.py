@@ -30,9 +30,17 @@ so it can only lower the rank.  The upper ends are (r+s)! when n >= r + s,
 which the (r+s)! basis matrices give with no certificate; the
 highest-weight count for the walled rank; and for the all-down rank behind
 ``annihilatorMatch``, the RSK count ``_rsk_count``, by quantum Schur-Weyl
-duality (``verify_schur_weyl`` says why).  If the lower end meets none
-of them, the rank is taken once over Q, from every row.  The row order
-decides only how soon the elimination stops, never what is reported.
+duality (``verify_schur_weyl`` says why).  The row order decides only how
+soon the elimination stops, never what is reported.  If the lower end
+meets none of them, the rank is taken over Q from the identity
+
+    rank_Q(R) = rank_Q(R|C) + rank_Q(K.R),
+
+with R the integer rows, C the positions of the mu0 block and the rows of
+K a basis of the left kernel of R|C (``_rank_through_block``).  Each row of
+R|C carries a tag column, and eliminating the columns of C alone is a run
+of invertible row operations, so the rows it leaves, which hold tags only,
+are such a basis: each names the combination of full rows summed into K.R.
 
 Both sides read one weight per label, ``rep.label_weight``, and the
 commutant's unknowns lie inside the weight spaces at every nonzero rational
@@ -50,7 +58,7 @@ import random
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .laurent import ExactRational
 from .qgroup import E, F, K, UGenerator, gen_on_mixed
@@ -104,13 +112,19 @@ class ResourceLimitError(RuntimeError):
 # -- exact linear algebra over the integers -----------------------------------
 
 
-def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
+def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]], stop: Optional[int] = None) -> int | tuple[int, list[dict]]:
     """Rank of sparse integer rows over Q (mod a prime: ``_rank_up_to``).
 
     Each row maps column keys to integers; absent keys are zero.  Columns
     are eliminated in sorted order: each step picks the sparsest row holding
     the column as pivot and combines it into every other such row, so only
     occupied positions are ever touched.  The rows passed in are not changed.
+
+    Given ``stop``, only the columns below it are eliminated, and the pair
+    (pivots found, the rows left) is returned.  With the rows that vanish,
+    which are dropped, the pivots and the rows left are the input rows under
+    an invertible matrix, and no row left holds a column below ``stop``;
+    ``_rank_through_block`` reads a kernel off them.
 
     The elimination is fraction-free.  Rows are divided by their content
     once; each combination cross-multiplies the two rows and divides out the
@@ -121,6 +135,8 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
     2
     >>> _rank_of_rows([{0: 1, 1: 2}, {0: 3, 1: 13}])
     2
+    >>> _rank_of_rows([{0: 1, 5: 1}, {0: 2, 7: 1}], 1)
+    (1, [{7: 1, 5: -2}])
     """
     work: dict[int, dict] = {}
     holders: dict[Hashable, set[int]] = {}
@@ -136,6 +152,8 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
             holders.setdefault(col, set()).add(rid)
     rank = 0
     for col in sorted(holders):
+        if stop is not None and col >= stop:
+            break
         candidates = holders[col]
         if not candidates:
             continue
@@ -166,7 +184,43 @@ def _rank_of_rows(rows: Iterable[Mapping[Hashable, int]]) -> int:
                 reduced = {c: value // g for c, value in reduced.items()}
             work[rid] = reduced
         rank += 1
-    return rank
+    return rank if stop is None else (rank, list(work.values()))
+
+
+def _rank_through_block(rows: Iterable[Mapping[int, int]], block: Collection[int]) -> int:
+    """Rank over Q of integer rows R, from the columns C in ``block`` first:
+
+        rank_Q(R) = rank_Q(R|C) + rank_Q(K.R),
+
+    where the rows of K are a basis of the left kernel of R|C.  The left
+    kernel of R lies in that of R|C, which is span(K), so dim ker(R) =
+    #K - rank(K.R), and #K = #R - rank(R|C).
+
+    Row t of R|C carries one tag, a 1 in column ``stop + t`` past every
+    column of C, and ``_rank_of_rows`` eliminates the columns of C alone.
+    Its steps are invertible row operations, and dividing out a content
+    scales a row by a nonzero rational, so the left rows, which hold tags
+    only, are a basis of the left kernel of R|C: each is the combination
+    of the rows of R its tags name.  The residual rows K.R vanish on C, so
+    they are summed from the entries outside C alone, which are all that
+    is kept of the rows.
+    """
+    stop = max(block, default=-1) + 1
+    tagged, rest = [], []
+    for t, row in enumerate(rows):
+        tagged.append({stop + t: 1})
+        rest.append({})
+        for c, v in row.items():
+            (tagged[t] if c in block else rest[t])[c] = v
+    rank, kernel = _rank_of_rows(tagged, stop)
+    residuals = []
+    for combination in kernel:
+        residual: dict[int, int] = {}
+        for tag, k in combination.items():
+            for c, v in rest[tag - stop].items():
+                residual[c] = residual.get(c, 0) + k * v
+        residuals.append(residual)
+    return rank + _rank_of_rows(residuals)
 
 
 def _rank_up_to(rows: Iterable[Mapping[Hashable, int]], p: int, bound: int) -> int:
@@ -352,9 +406,16 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     RSK count, so a caller that compares its rank with one compares two
     independent numbers.
 
-    Otherwise, or with no upper end at all, every row is ranked once, over
-    Q, by ``_rank_of_rows``.
+    Otherwise, or with no upper end at all, every word is rendered once,
+    and the rank is taken over Q by ``_rank_through_block``: the rank of the
+    rows' mu0 block, positions whose row and column labels both lie in the
+    most populous weight space, plus the rank of the residuals of its left
+    kernel on the full rows.
+
+    A label count n below 1 is refused first.
     """
+    if n < 1:
+        raise ValueError(f"label count n must be at least 1, got {n}")
     m = r + s
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
     ty = algebra_type(r, s)
@@ -366,18 +427,19 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
         for rows, _ in specialized_word_matrices(batch, n, q0, start):
             yield {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
 
+    weight_space = set(max(_weight_classes(n, ty.top), key=len))
     ends = ([factorial(m)] if n >= m else []) + ([upper] if upper is not None else [])
     if ends:
         bound = min(ends)
         shuffled = words[:]
         random.Random(ROW_ORDER_SEED).shuffle(shuffled)
-        weight_space = set(max(_weight_classes(n, ty.top), key=len))
         # The shuffled rows mostly reach the end within the first bound of them, so the
         # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
         chunks = (vectors(shuffled[i : i + 2 * bound], weight_space) for i in range(0, len(shuffled), 2 * bound))
         if _rank_up_to((row for chunk in chunks for row in chunk), CHAIN_PRIME, bound) == bound:
             return bound
-    return _rank_of_rows(vectors(words))
+    block = {index[row] * size + index[col] for row in weight_space for col in weight_space}
+    return _rank_through_block(vectors(words), block)
 
 
 def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
@@ -580,13 +642,13 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     generation check passes.  So when that check and the claim pass and the
     two ends are equal, all four numbers are equal, and the mod-p ones are
     the exact ranks over Q.  ``image_rank`` takes the count as its upper end
-    and stops once its rows reach it; when they do not, it ranks every row
-    once over Q, and the commutant dimension is taken from the blocked
-    system (``commutant_dim``), over Q too.  Only that route can report a
-    mismatch.  With the claim failed, or p dividing q0's numerator or
-    denominator, there is no chain and no upper end is passed: an image
-    rank that does not meet (r+s)! is one rank over Q.  Each side calls
-    ``image_rank`` once.
+    and stops once its rows reach it; when they do not, it ranks its rows
+    over Q through their mu0 block, and the commutant dimension is taken
+    from the blocked system (``commutant_dim``), over Q too.  Only that
+    route can report a mismatch.  With the claim failed, or p dividing
+    q0's numerator or denominator, there is no chain and no upper end is
+    passed: an image rank that does not meet (r+s)! is ranked over Q.
+    Each side calls ``image_rank`` once.
 
     A label count n below 1 is refused first.  Before any generator or
     diagram is rendered, the instance is charged with its label-weight

@@ -103,15 +103,65 @@ class TestRankOfRows:
         assert duality._rank_up_to(rows, 7, len(rows)) == 1
         assert duality._rank_up_to([], 7, 0) == duality._rank_up_to([{}, {3: 14}, {1: -7}], 7, 3) == 0
 
-    @pytest.mark.parametrize("p", [None, 7, duality.CHAIN_PRIME])
+    @pytest.mark.parametrize("p", [None, "stop", "block", 7, duality.CHAIN_PRIME])
     def test_rows_passed_in_are_not_changed(self, p):
         rows = random_integer_rows(random.Random(5), 24, 40, 8)
         before = [dict(row) for row in rows]
         if p is None:
             duality._rank_of_rows(rows)
+        elif p == "stop":
+            duality._rank_of_rows(rows, 20)
+        elif p == "block":
+            duality._rank_through_block(rows, set(range(0, 40, 3)))
         else:
             duality._rank_up_to(rows, p, len(rows))
         assert rows == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("stop", [0, 7, 20, 40])
+    def test_stopped_rank_hands_back_the_rows_left(self, seed, stop):
+        rows = random_integer_rows(random.Random(seed), 16, 40, 8)
+        dense = [[row.get(c, 0) for c in range(40)] for row in rows]
+        pivots, left = duality._rank_of_rows(rows, stop)
+        # The pivots are the rank on the columns below stop, and no row left holds one of those.
+        assert pivots == dense_rank([line[:stop] for line in dense])
+        assert all(left) and all(c >= stop for row in left for c in row)
+        # Stopping changes no row operation: the pivots and the rows left have the rank of all rows.
+        assert pivots + duality._rank_of_rows(left) == dense_rank(dense)
+
+
+class TestRankThroughBlock:
+    """rank_Q(R) = rank_Q(R|C) + rank_Q(K.R), with K a basis of the left kernel of R|C."""
+
+    def test_residual_adds_what_the_block_misses(self):
+        # On C = {0} the rows are dependent, and their residual {5: 2, 7: -1} is not zero.
+        assert duality._rank_through_block([{0: 1, 5: 1}, {0: 2, 7: 1}], {0}) == 2
+        assert duality._rank_through_block([{0: 1, 5: 1}, {0: 2, 5: 2}], {0}) == 1
+        # Two kernel vectors, one of them with residual zero.
+        assert duality._rank_through_block([{0: 1, 5: 1}, {0: 2, 7: 1}, {0: -3, 5: -3}], {0}) == 2
+
+    def test_rows_with_an_empty_block(self):
+        # A row with nothing in C is its own kernel vector, and its residual is the row.
+        assert duality._rank_through_block([{5: 3}, {0: 1, 5: 1}], {0}) == 2
+        assert duality._rank_through_block([{5: 3}, {5: -6, 9: 0}], {0}) == 1
+        assert duality._rank_through_block([{5: 3}, {7: 1}], set()) == 2
+        assert duality._rank_through_block([], {0}) == duality._rank_through_block([{}, {0: 0}], {0}) == 0
+
+    def test_tags_follow_every_block_column(self):
+        # The tags start past the largest column of C, not past its size: a tag in column 2 would be
+        # taken for the entry of C there.
+        assert duality._rank_through_block([{2: 1, 9: 1}, {2: 1, 9: 2}], {0, 2}) == 2
+
+    @pytest.mark.parametrize(
+        "height,width,support,seed", [(6, 5, 3, s) for s in range(4)] + [(16, 40, 8, s) for s in range(4)]
+    )
+    @pytest.mark.parametrize("fraction", [0, 1, 3, 10])
+    def test_matches_the_dense_rank(self, height, width, support, seed, fraction):
+        rng = random.Random(seed)
+        rows = random_integer_rows(rng, height, width, support)
+        block = set(rng.sample(range(width), width * fraction // 10))
+        dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+        assert duality._rank_through_block(rows, block) == dense_rank(dense)
 
 
 class TestRankUpTo:
@@ -212,6 +262,9 @@ class TestExactRanks:
                 verify_schur_weyl(n, r, s, Q0)
             with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
                 commutant_dim(n, r, s, Q0)
+            for upper in (None, 5):
+                with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
+                    image_rank(n, r, s, Q0, upper)
 
     def test_budget_charges_the_blocked_unknowns(self, monkeypatch):
         # (2, 2, 2) has 70 blocked unknowns, against 256 in the dense system.
@@ -282,6 +335,10 @@ def full_rows_rank(n: int, r: int, s: int, q0: Fraction) -> int:
 
 FAITHFUL_CASES = [(n, r, m - r) for m in range(1, 5) for n in range(m, 5) for r in range(m + 1)]
 
+#: Every instance with n <= 4 and r + s <= 5, r + s <= 4 at n >= 3: where n < r + s, ``image_rank``
+#: with no upper end is the rank over Q through the mu0 block.
+BLOCK_CASES = [(n, r, m - r) for n in range(1, 5) for m in range(6 if n <= 2 else 5) for r in range(m + 1)]
+
 
 class TestWeightRowCertificate:
     def test_faithful_grid_size(self):
@@ -292,13 +349,22 @@ class TestWeightRowCertificate:
         for q0 in (Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2)):
             assert image_rank(n, r, s, q0) == full_rows_rank(n, r, s, q0) == math.factorial(r + s)
 
+    def test_block_grid_size(self):
+        assert len(BLOCK_CASES) == 72 and sum(n < r + s for n, r, s in BLOCK_CASES) == 38
+
+    @pytest.mark.parametrize("n,r,s", BLOCK_CASES, ids=str)
+    def test_image_rank_through_the_block_matches_all_rows(self, n, r, s):
+        for q0 in (Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2)):
+            assert image_rank(n, r, s, q0) == full_rows_rank(n, r, s, q0)
+
     def test_short_restricted_rank_falls_back_to_all_rows(self, monkeypatch):
         ranks = record_eliminations(monkeypatch)
         monkeypatch.setattr(duality, "_weight_classes", lambda n, boundary: [[(1, 2, 3, 4)]])
         assert image_rank(4, 2, 2, Q0) == 24
-        # The restricted rank mod p stops short of 24, and every row is then ranked over Q.
-        assert [(name, p) for name, p, _, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
-        assert ranks[0][3] < 24 and ranks[1][3] == 24
+        # The restricted rank mod p stops short of 24, and the rows are then ranked over Q: the
+        # one-label block holds rank 1, and the residuals of its kernel the other 23.
+        assert [(name, p) for name, p, _, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME)] + Q_SIDE
+        assert ranks[0][3] < 24 and (ranks[1][3], ranks[2][3]) == (1, 23)
 
     @pytest.mark.parametrize("n,r,s,restricted", [(4, 2, 2, True), (5, 3, 1, True), (3, 2, 2, False), (2, 3, 0, False)])
     def test_rows_are_restricted_only_when_n_reaches_r_plus_s(self, monkeypatch, n, r, s, restricted):
@@ -541,9 +607,16 @@ class TestVerifyReport:
 
 
 
+#: The eliminations of one image rank taken over Q: its tagged mu0 block, stopped at the tags, then
+#: the residuals of the block's left kernel.
+Q_SIDE = [("_rank_of_rows(stop)", None), ("_rank_of_rows", None)]
+
+
 def record_eliminations(monkeypatch) -> list:
     """Spy on both eliminators: (name, prime, columns read, rank) of each
-    call; the prime is None for ``_rank_of_rows``, which works over Q."""
+    call; the prime is None for ``_rank_of_rows``, which works over Q, and
+    its call stopped at a column bound is named ``_rank_of_rows(stop)``,
+    with its pivot count as the rank."""
     calls = []
     exact_rows, exact_up_to = duality._rank_of_rows, duality._rank_up_to
 
@@ -552,11 +625,12 @@ def record_eliminations(monkeypatch) -> list:
             columns.update(row)
             yield row
 
-    def rank_of_rows(rows):
+    def rank_of_rows(rows, *stop):
         columns: set = set()
-        rank = exact_rows(reading(rows, columns))
-        calls.append(("_rank_of_rows", None, len(columns), rank))
-        return rank
+        result = exact_rows(reading(rows, columns), *stop)
+        rank = result[0] if stop else result
+        calls.append(("_rank_of_rows(stop)" if stop else "_rank_of_rows", None, len(columns), rank))
+        return result
 
     def rank_up_to(rows, p, bound):
         columns: set = set()
@@ -638,7 +712,7 @@ class TestRankChain:
         report = verify_schur_weyl(2, 2, 2, Q0)
         # No upper end is computed, and both image ranks, the all-down one too, are one rank over Q.
         assert ends == [("image_rank", None, 14), ("commutant_dim", None, 14), ("image_rank", None, 14)]
-        assert [(name, p) for name, p, _, _ in calls] == [("_rank_of_rows", None)] * 3
+        assert [(name, p) for name, p, _, _ in calls] == Q_SIDE + [("_rank_of_rows", None)] + Q_SIDE
         assert [claim.holds for claim in report.claims] == [False, True, True, True]
 
     def test_prime_dividing_q0_goes_straight_to_q(self, monkeypatch):
@@ -646,7 +720,8 @@ class TestRankChain:
         monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
         calls = record_eliminations(monkeypatch)
         data = verify_schur_weyl(2, 2, 2, Q0).to_json()
-        assert [(name, p) for name, p, _, _ in calls] == [("_rank_of_rows", None)] * 3
+        # The walled image over Q, the blocked system, and the all-down image over Q.
+        assert [(name, p) for name, p, _, _ in calls] == Q_SIDE + [("_rank_of_rows", None)] + Q_SIDE
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
     def test_cartan_only_sweep_is_a_mismatch_over_q(self, monkeypatch):
@@ -677,28 +752,45 @@ class TestRankChain:
             n, r, s, exact = 2, 3, 2, duality._rsk_count
             monkeypatch.setattr(duality, "_rsk_count", lambda n, m: exact(n, m) + 1)
         calls = record_eliminations(monkeypatch)
+        starts = []
+        exact_render = duality.specialized_word_matrices
+
+        def render(words, n, q0, start=None):
+            starts.append(start)
+            return exact_render(words, n, q0, start)
+
+        monkeypatch.setattr(duality, "specialized_word_matrices", render)
         sides = []
 
         def rank(n, r, s, q0, *rest, exact=duality.image_rank):
-            start = len(calls)
+            start, rendered = len(calls), len(starts)
             value = exact(n, r, s, q0, *rest)
-            sides.append(((r, s), calls[start:]))
+            sides.append(((r, s), calls[start:], starts[rendered:], value))
             return value
 
         monkeypatch.setattr(duality, "image_rank", rank)
         verify_schur_weyl(n, r, s, Q0)
-        assert [ty for ty, _ in sides] == [(r, s), (r + s, 0)]
+        assert [ty for ty, *_ in sides] == [(r, s), (r + s, 0)]
         p = duality.CHAIN_PRIME
-        for (side_r, side_s), eliminations in sides:
+        for (side_r, side_s), eliminations, renders, value in sides:
             stopped_short = (side_s == 0) == (short_side == "all-down")
             routes = [(name, prime) for name, prime, _, _ in eliminations]
-            assert routes == [("_rank_up_to", p)] + [("_rank_of_rows", None)] * stopped_short
+            assert routes == [("_rank_up_to", p)] + Q_SIDE * stopped_short
             # The rank mod p reads the most populous weight space's rows alone, never every row.
-            mu0 = len(largest_weight_space(n, algebra_type(side_r, side_s).top))
+            weight_space = set(largest_weight_space(n, algebra_type(side_r, side_s).top))
+            mu0 = len(weight_space)
             (width,) = [width for _, prime, width, _ in eliminations if prime is not None]
             assert width <= mu0**2
+            # Only the weight space's rows are rendered for it; a side that stops short renders
+            # every row once more, last, for the rank over Q.
+            assert renders[: len(renders) - stopped_short] == [weight_space] * (len(renders) - stopped_short)
+            assert renders[len(renders) - stopped_short :] == [None] * stopped_short
             if stopped_short:
-                assert eliminations[-1][2] > mu0**2
+                # Over Q the eliminator reads the mu0 block and one tag per word, and the pivots on
+                # the block and the rank of the residuals make up the rank.
+                words = math.factorial(side_r + side_s)
+                assert eliminations[1][2] <= mu0**2 + words
+                assert eliminations[1][3] + eliminations[2][3] == value
 
     def test_chain_grid_size(self):
         assert len(CHAIN_CASES) >= 9 and all(r + s <= 5 for _, r, s in CHAIN_CASES)
@@ -742,7 +834,7 @@ class TestRankChain:
         data = verify_schur_weyl(2, 3, 2, Q0).to_json()
         # 43 is never reached by the weight-space rows mod p, and every row is then ranked over Q.
         assert ends[2:] == [("image_rank", 43, 42)]
-        assert [(name, p) for name, p, _, _ in calls[-2:]] == [("_rank_up_to", duality.CHAIN_PRIME), ("_rank_of_rows", None)]
+        assert [(name, p) for name, p, _, _ in calls[-3:]] == [("_rank_up_to", duality.CHAIN_PRIME)] + Q_SIDE
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
 
     def test_rsk_count_too_low_fails_the_annihilator_claim(self, monkeypatch):
