@@ -42,9 +42,11 @@ R|C carries a tag column, and eliminating the columns of C alone is a run
 of invertible row operations, so the rows it leaves, which hold tags only,
 are such a basis: each names the combination of full rows summed into K.R.
 
-Both sides read one weight per label, ``rep.label_weight``, and the
-commutant's unknowns lie inside the weight spaces at every nonzero rational
-q0, q0 = +-1 included (``commutant_dim`` says why).
+Both sides read one weight per label, ``rep.label_weight``.  The sweep is
+E(i) and F(i) alone: whatever intertwines them keeps every weight space and
+commutes with every Cartan element, identically in q and at every nonzero
+rational q0, q0 = +-1 included (the weight lemma of ``_weight_classes``), so
+the commutant's unknowns lie inside the weight spaces.
 
 The bridge to the one-wall-free picture is the strand-bending transport
 ``skein.hecke_to_walled``; its classical shadow at q = 1, kept here, is the
@@ -61,7 +63,7 @@ from math import factorial, gcd, prod
 from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .laurent import ExactRational
-from .qgroup import E, F, K, UGenerator, gen_on_mixed
+from .qgroup import E, F, UGenerator, gen_on_mixed
 from .rep import MultiIndex, OperatorMatrix, label_tuples, label_weight, slice_matrix, specialized_word_matrices
 from .tangle import (
     Connector,
@@ -307,16 +309,13 @@ def _rsk_count(n: int, m: int) -> int:
 
 
 def generator_sweep(n: int) -> tuple[UGenerator, ...]:
-    """The Chevalley generators K(i), K'(i), E(i) and F(i) for i < n.
+    """The Chevalley generators E(i) and F(i) for i < n.
 
-    Every divided power is a multiple of a power of these: E^l = [l]! E^(l)
-    and F^l = [l]! F^(l).  The two callers say why that makes commuting with
-    the sweep the same as commuting with the whole integral form.
+    They generate the integral form with every divided power, since E^l =
+    [l]! E^(l) and F^l = [l]! F^(l) (``_first_uncommuting_step``), and
+    with every Cartan element, by the weight lemma of ``_weight_classes``.
     """
-    gens: list[UGenerator] = []
-    for i in range(1, n):
-        gens += [K(i, 1), K(i, -1), E(i), F(i)]
-    return tuple(gens)
+    return tuple(gen for i in range(1, n) for gen in (E(i), F(i)))
 
 
 def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord, UGenerator]]:
@@ -326,17 +325,24 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     canonical basis words, the words ``image_rank`` specializes: those of
     the walled type (r, s), and when n < r + s, where ``verify_schur_weyl``
     stops the all-down rank at the RSK count, those of the all-down type on
-    r + s points too.  A slice matrix is a local block (a crossing on 2
-    points, a valley from 2 points to none, a peak from none to 2) tensored
-    with identities.  The local steps of all the words are collected once,
-    keyed by the points the slice touches and the slice moved to position 1,
-    and each distinct one is checked exactly in q against
-    ``generator_sweep(n)``.  The comultiplication puts only E, F and powers
-    of K on the block's legs, so ``id ⊗ block ⊗ id`` intertwines the sweep
-    on any number of points, and so does every product of slice matrices.
-    This is the functoriality argument of Reshetikhin and Turaev, "Ribbon
-    graphs and their invariants derived from quantum groups", Comm. Math.
-    Phys. 127 (1990).
+    r + s points too; each distinct type is enumerated once.  A slice
+    matrix is a local block (a crossing on 2 points, a valley from 2 points
+    to none, a peak from none to 2) tensored with identities.  The local
+    steps of all the words are collected once, keyed by the points the
+    slice touches and the slice moved to position 1, and each distinct one
+    is checked exactly in q against ``generator_sweep(n)``, E(i) and F(i).
+
+    That covers K(i)^+-1 and every other Cartan element, by the weight
+    lemma of ``_weight_classes``: for a block X with top t and bottom b,
+    X.E_b = E_t.X and X.F_b = F_t.X give X.C_b = C_t.X, where C =
+    E(i)F(i) - F(i)E(i) is diagonal with entries [d], d = w_i - w_(i+1).
+    So X[a, b] ([d_b] - [d_a]) = 0 in the domain Z[q, q^-1]: X keeps every
+    weight difference, and as a slice keeps #DOWN - #UP, every weight.  The
+    comultiplication puts only E, F and powers of K on the block's legs, so
+    ``id ⊗ block ⊗ id`` intertwines E(i) and F(i) on any number of points,
+    and so does every product of slice matrices.  This is the functoriality
+    argument of Reshetikhin and Turaev, "Ribbon graphs and their invariants
+    derived from quantum groups", Comm. Math. Phys. 127 (1990).
 
     That covers every divided power as well.  If X intertwines E, it
     intertwines E^l = [l]! E^(l), so [l]! (X E^(l) - E^(l) X) = 0; [l]! is
@@ -347,7 +353,7 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     Returns the first failing step, as a one-slice word, and generator, or
     None.
     """
-    types = [algebra_type(r, s)] + ([all_down_type(r + s)] if n < r + s else [])
+    types = dict.fromkeys([algebra_type(r, s)] + ([all_down_type(r + s)] if n < r + s else []))
     steps: dict[tuple, None] = {}
     for ty in types:
         for connector in enumerate_connectors(ty):
@@ -374,10 +380,20 @@ def _weight_classes(n: int, boundary: Sequence[Orientation]) -> list[list[MultiI
     their weight (``rep.label_weight``), classes in the order of their
     first label, each in label order.
 
-    A matrix commuting with E(i) and F(i) commutes with E(i)F(i) - F(i)E(i),
-    which acts on a label of weight w by [w_i - w_(i+1)].  k -> [k] is
-    injective at every nonzero rational q0, q0 = +-1 included, so such a
-    matrix preserves every weight space (``commutant_dim``).
+    The weight lemma, which the rest of this module cites: a matrix X
+    between two boundaries with the same #DOWN - #UP that intertwines E(i)
+    and F(i) for every i < n keeps every weight space and intertwines every
+    Cartan element.  X intertwines C = E(i)F(i) - F(i)E(i), which acts on a
+    label of weight w by [w_i - w_(i+1)] (Jantzen, Lectures on Quantum
+    Groups, 1996, section 4), so X[a, b] ([d_b] - [d_a]) = 0, with d_a and
+    d_b those differences at the labels a and b.  k -> [k] is injective on
+    the integers in Z[q, q^-1], a domain, and at every nonzero rational q0:
+    for q0 > 0, q0 != 1, it is strictly increasing; for q0 < 0 it only
+    picks up the sign (-1)^(k+1) of [k] at -q0; at q0 = +-1 it is k or
+    (-1)^(k+1) k.  So X keeps apart labels with different w_i - w_(i+1).
+    Every weight sums to #DOWN - #UP, so those n - 1 differences fix it: X
+    preserves every weight space, and each Cartan element, K(i)^+-1 or any
+    q^h, is the same scalar on both ends of every entry of X.
     """
     classes: dict[tuple[int, ...], list[MultiIndex]] = {}
     for label in label_tuples(n, len(boundary)):
@@ -412,13 +428,16 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     most populous weight space, plus the rank of the residuals of its left
     kernel on the full rows.
 
-    A label count n below 1 is refused first.
+    A label count n below 1, then a negative strand count, is refused
+    first.  The budget is then charged with the (r+s)! basis words and with
+    the n^(r+s) labels, before any label is read.
     """
     if n < 1:
         raise ValueError(f"label count n must be at least 1, got {n}")
+    ty = algebra_type(r, s)
     m = r + s
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
-    ty = algebra_type(r, s)
+    ResourceLimitError.check("the label index", n**m, "labels", VARIABLE_BUDGET)
     index = {label: t for t, label in enumerate(label_tuples(n, m))}
     size = len(index)
     words = [canonical_basis_word(connector) for connector in enumerate_connectors(ty)]
@@ -446,28 +465,20 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     """Dimension over Q of the space of matrices commuting with the algebra
     at q0, from the blocked system S.
 
-    At every nonzero rational q0, k -> [k] is injective on the integers:
-    for q0 > 0, q0 != 1, it is strictly increasing; for q0 < 0 it only
-    picks up the sign (-1)^(k+1) of [k] at -q0; at q0 = +-1 it is k or
-    (-1)^(k+1) k.  So [l]! != 0, and as the specialized E^l is [l]! E^(l),
-    a matrix commuting with E commutes with every E^(l), likewise F^(l):
-    the sweep ``generator_sweep(n)`` is enough.
-
-    A matrix X commuting with E(i) and F(i) commutes with E(i)F(i) -
-    F(i)E(i), which acts on a label of weight w (``rep.label_weight``) by
-    [w_i - w_(i+1)] (Jantzen, Lectures on Quantum Groups, 1996, section 4),
-    so X keeps apart labels with different w_i - w_(i+1).  Every weight
-    sums to r - s, so those n - 1 differences fix it: X preserves every
-    weight space, and only the entries inside one (``_weight_classes``)
-    are unknowns.  K(i) and K'(i) are scalar on each weight space and add
-    no row; E(i) and F(i) give the sparse homogeneous system S: [X, A] = 0,
-    one row per matrix position it touches, solved by exact elimination
-    over Q, and the answer is its nullity.  Each A enters as integers over
-    its one denominator, which scales its whole system.
+    The weight lemma of ``_weight_classes`` shows that no [k] with k != 0
+    vanishes at a nonzero rational q0, and that a matrix commuting with
+    every E(i) and F(i) preserves every weight space and commutes with
+    every Cartan element.  As the specialized E^l is [l]! E^(l), such a
+    matrix commutes with every E^(l) too, likewise F^(l).  So the sweep
+    ``generator_sweep(n)`` is enough, and only the entries inside one
+    weight space are unknowns.  E(i) and F(i) give the sparse homogeneous
+    system S: [X, A] = 0, one row per matrix position it touches, solved by
+    exact elimination over Q, and the answer is its nullity.  Each A enters
+    as integers over its one denominator, which scales its whole system.
 
     This is the Q route of ``verify_schur_weyl``, which runs it only when
     the highest-weight count (``_highest_weight_bound``), an upper end for
-    nullity_Q(S), is not met.  The argument above needs [k] != 0, so S is
+    nullity_Q(S), is not met.  The weight lemma needs [k] != 0, so S is
     not the commutant over F_p, where [k] vanishes when q0 is a root of
     unity (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35
     (1990)).
@@ -489,8 +500,6 @@ def commutant_dim(n: int, r: int, s: int, q0: ExactRational) -> int:
     unknowns = [(row, col) for block in classes for row in block for col in block]
     rows = []
     for gen in generator_sweep(n):
-        if isinstance(gen, K):
-            continue
         by_row: dict[MultiIndex, list] = {}
         by_col: dict[MultiIndex, list] = {}
         action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
@@ -545,8 +554,6 @@ def _highest_weight_bound(n: int, r: int, s: int, q0: ExactRational, p: int) -> 
     raising: dict[MultiIndex, dict] = {}  # label -> its row of E: (i, output) -> value
     landing: dict[int, list[dict]] = {}  # weight mu -> the rows of F_mu
     for gen in generator_sweep(n):
-        if isinstance(gen, K):
-            continue
         action, _ = gen_on_mixed(gen, boundary, n).evaluate(q0)
         lowered: dict[MultiIndex, dict] = {}
         for (source, target), value in action.items():
@@ -650,12 +657,13 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     passed: an image rank that does not meet (r+s)! is ranked over Q.
     Each side calls ``image_rank`` once.
 
-    A label count n below 1 is refused first.  Before any generator or
-    diagram is rendered, the instance is charged with its label-weight
-    table, as in ``commutant_dim``, with its (r+s)! basis words, as in
-    ``image_rank``, and with the |mu0|^2 positions each word's mu0 rows
-    occupy, the width of every row and pivot of the image rank.  The
-    blocked system's own charge applies on the Q route alone.
+    A label count n below 1, then a negative strand count, is refused
+    first.  Before any generator or diagram is rendered, the instance is
+    charged with its label-weight table, as in ``commutant_dim``, with its
+    (r+s)! basis words, as in ``image_rank``, and with the |mu0|^2
+    positions each word's mu0 rows occupy, the width of every row and pivot
+    of the image rank.  The blocked system's own charge applies on the Q
+    route alone.
 
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
@@ -665,9 +673,10 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     as its dimension at every rational q0.  That is quantum Schur-Weyl
     duality (Jimbo, Lett. Math. Phys. 11 (1986); over every ring, Du,
     Parshall and Scott, Comm. Math. Phys. 195 (1998)), and it needs only
-    that no [k] vanishes at q0, which holds at q0 = +-1 too, where [k] is k
-    or (-1)^(k+1) k.  Then the sweep gives every divided power and weight
-    projection (``commutant_dim``), so End_U(V^(x)m) is the commutant of the
+    that no [k] vanishes at q0, which holds at every nonzero rational q0
+    (``_weight_classes``).  Then the sweep gives every divided power
+    (``commutant_dim``) and weight projection (the weight lemma of
+    ``_weight_classes``), so End_U(V^(x)m) is the commutant of the
     q-Schur algebra, which Du, Parshall and Scott show to be the image of
     the Hecke algebra H_m(q0).  H_m(q0) is semisimple, since its Poincare
     polynomial, the product of q0^(k-1) [k] for k <= m, does not vanish
@@ -679,12 +688,13 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     """
     if n < 1:
         raise ValueError(f"label count n must be at least 1, got {n}")
+    boundary = algebra_type(r, s).top
     q0 = Fraction(q0)
     m = r + s
     p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
     ResourceLimitError.check("the weight signature table", (n - 1) * n**m, "variables", VARIABLE_BUDGET)
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
-    mu0 = max(len(block) for block in _weight_classes(n, algebra_type(r, s).top))
+    mu0 = max(len(block) for block in _weight_classes(n, boundary))
     ResourceLimitError.check("the weight-space rank", mu0**2, "variables", VARIABLE_BUDGET)
     started = time.perf_counter()
     failure = _first_uncommuting_step(n, r, s)

@@ -510,6 +510,11 @@ class TestVerify:
         assert err == f"error: label count n must be at least 1, got {n}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("r,s", [("-1", "0"), ("-3", "1"), ("2", "-1")])
+    def test_duality_negative_strand_count_is_a_usage_error(self, capsys, r, s):
+        code, out, err = run_cli(capsys, "verify", "duality", "--n", "2", "--r", r, "--s", s)
+        assert (code, out, err) == (2, "", "error: strand counts must be nonnegative\n")
+
     @pytest.mark.parametrize("suite", ["skein", "linking"])
     def test_sampled_suites_echo_their_seed(self, capsys, suite):
         data = run_json(

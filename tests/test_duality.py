@@ -266,6 +266,38 @@ class TestExactRanks:
                 with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
                     image_rank(n, r, s, Q0, upper)
 
+    def test_negative_strand_count_is_refused_before_any_charge(self, monkeypatch):
+        def charged(cls, *args):
+            raise AssertionError("charged before the strand counts were checked")
+
+        monkeypatch.setattr(ResourceLimitError, "check", classmethod(charged))
+        # (-1, 0) and (-3, 1) have r + s < 0, where (r+s)! and n^(r+s) are not counts.
+        for r, s in ((-1, 0), (-3, 1), (2, -1)):
+            with pytest.raises(ValueError, match="strand counts must be nonnegative"):
+                verify_schur_weyl(2, r, s, Q0)
+            with pytest.raises(ValueError, match="strand counts must be nonnegative"):
+                commutant_dim(2, r, s, Q0)
+            for upper in (None, 5):
+                with pytest.raises(ValueError, match="strand counts must be nonnegative"):
+                    image_rank(2, r, s, Q0, upper)
+
+    def test_image_rank_charges_its_labels_before_reading_one(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a label was read before the label charge")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(duality, "label_tuples", forbidden)
+            patched.setattr(duality, "label_weight", forbidden)
+            # 24^4 = 331 776 labels, against 4! = 24 basis words.
+            with pytest.raises(ResourceLimitError, match="label index has 331776 labels"):
+                image_rank(24, 2, 2, Q0)
+        # (3, 2, 2) has 81 labels.
+        monkeypatch.setattr(duality, "VARIABLE_BUDGET", 80)
+        with pytest.raises(ResourceLimitError, match="81 labels"):
+            image_rank(3, 2, 2, Q0)
+        monkeypatch.setattr(duality, "VARIABLE_BUDGET", 81)
+        assert image_rank(3, 2, 2, Q0) == 23
+
     def test_budget_charges_the_blocked_unknowns(self, monkeypatch):
         # (2, 2, 2) has 70 blocked unknowns, against 256 in the dense system.
         monkeypatch.setattr(duality, "VARIABLE_BUDGET", 70)
@@ -314,9 +346,10 @@ class TestExactRanks:
 
     def test_generator_sweep_contents(self):
         assert generator_sweep(1) == ()
-        assert len(generator_sweep(2)) == 4
-        assert len(generator_sweep(3)) == 8
-        assert generator_sweep(3) == divided_power_sweep(3, 1)
+        assert generator_sweep(2) == (E(1), F(1))
+        assert generator_sweep(3) == (E(1), F(1), E(2), F(2))
+        # The level-1 oracle sweep less its Cartan units, which the weight lemma covers.
+        assert generator_sweep(3) == tuple(g for g in divided_power_sweep(3, 1) if not isinstance(g, K))
 
 
 def largest_weight_space(n: int, boundary) -> list:
@@ -453,6 +486,11 @@ class TestWeightBlocks:
             assert len(values) == 2 * (r + s) + 1
 
 
+#: Every walled type with 2 <= r + s <= 5, the all-down ones included, at 2 <= n <= 4.  At
+#: r + s = 1 the one basis word is the identity, with no step.
+CARTAN_ORACLE_CASES = [(n, r, m - r) for n in range(2, 5) for m in range(2, 6) for r in range(m + 1)]
+
+
 class TestSymbolicCommutation:
     @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2)])
     def test_basis_matrices_commute_with_the_sweep(self, n, r, s):
@@ -527,6 +565,65 @@ class TestSliceCertificate:
         assert claim.holds is False
         # At n >= r + s the all-down rank stops at (r+s)!, which needs no certificate: no all-down step is checked.
         assert duality._first_uncommuting_step(3, 1, 2) is None
+
+    @pytest.mark.parametrize("n,r,s", CARTAN_ORACLE_CASES, ids=str)
+    def test_every_certified_step_commutes_with_the_cartan_units(self, monkeypatch, n, r, s):
+        # The sweep holds E(i) and F(i) alone; the weight lemma gives K(i) and K'(i).
+        blocks = []
+        exact = duality.slice_matrix
+
+        def recorded(n, top, unit):
+            blocks.append(exact(n, top, unit))
+            return blocks[-1]
+
+        monkeypatch.setattr(duality, "slice_matrix", recorded)
+        assert duality._first_uncommuting_step(n, r, s) is None
+        assert blocks
+        for block in blocks:
+            for gen in (K(i, sign) for i in range(1, n) for sign in (1, -1)):
+                top, bottom = gen_on_mixed(gen, block.row_type, n), gen_on_mixed(gen, block.col_type, n)
+                assert block.matmul(bottom) == top.matmul(block)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_block_that_moves_weight_fails_on_e_or_f(self, monkeypatch, n):
+        exact = rep._local_cross
+
+        def leaking(n, entry, hand):
+            local = exact(n, entry, hand)
+            if entry == (DOWN, DOWN):
+                # From weight 2 e_1 to e_1 + e_2.
+                local[(1, 1), (1, 2)] = Q
+            return local
+
+        monkeypatch.setattr(rep, "_local_cross", leaking)
+        step, gen = duality._first_uncommuting_step(n, 2, 0)
+        assert isinstance(gen, (E, F))
+        assert step.ty.top == (DOWN, DOWN)
+        # The Cartan units, no longer swept, would have caught the same block.
+        block = rep.slice_matrix(n, step.ty.top, step.slices[0])
+        k = gen_on_mixed(K(1), step.ty.top, n)
+        assert block.matmul(k) != k.matmul(block)
+
+    @pytest.mark.parametrize(
+        "n,r,s,types",
+        [
+            (2, 3, 0, [all_down_type(3)]),
+            (3, 2, 0, [all_down_type(2)]),
+            (2, 2, 1, [algebra_type(2, 1), all_down_type(3)]),
+            (4, 2, 1, [algebra_type(2, 1)]),
+        ],
+    )
+    def test_each_distinct_type_is_enumerated_once(self, monkeypatch, n, r, s, types):
+        enumerated = []
+        exact = duality.enumerate_connectors
+
+        def recorded(ty):
+            enumerated.append(ty)
+            return exact(ty)
+
+        monkeypatch.setattr(duality, "enumerate_connectors", recorded)
+        assert duality._first_uncommuting_step(n, r, s) is None
+        assert enumerated == types
 
     def test_steps_are_deduplicated_before_any_word_is_built(self, monkeypatch):
         built = []
