@@ -64,7 +64,15 @@ from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, 
 
 from .laurent import ExactRational
 from .qgroup import E, F, UGenerator, gen_on_mixed
-from .rep import MultiIndex, OperatorMatrix, label_tuples, label_weight, slice_matrix, specialized_word_matrices
+from .rep import (
+    MultiIndex,
+    OperatorMatrix,
+    label_code,
+    label_tuples,
+    label_weight,
+    slice_matrix,
+    specialized_word_matrices,
+)
 from .tangle import (
     Connector,
     Max,
@@ -93,6 +101,10 @@ VARIABLE_BUDGET = 10_000
 #: The prime ``verify_schur_weyl`` decides the ranks modulo: 2^30 - 35,
 #: the largest prime below 2^30, so a product of two residues stays below 2^60.
 CHAIN_PRIME = 1073741789
+
+#: The prime taken instead when ``CHAIN_PRIME`` divides q0's numerator or
+#: denominator: 2^30 - 41, the next prime below 2^30 (``_chain_prime``).
+SECOND_CHAIN_PRIME = 1073741783
 
 #: Seed of the order in which ``image_rank`` takes the weight-space rows.  It
 #: decides only how many rows are ranked before the rank meets its upper
@@ -279,6 +291,19 @@ def _rank_up_to(rows: Iterable[Mapping[Hashable, int]], p: int, bound: int) -> i
     return len(pivots)
 
 
+def _chain_prime(q0: ExactRational) -> Optional[int]:
+    """The first of ``CHAIN_PRIME`` and ``SECOND_CHAIN_PRIME`` that divides
+    neither the numerator nor the denominator of q0, or None.
+
+    >>> _chain_prime(Fraction(5, 3)), _chain_prime(Fraction(CHAIN_PRIME, 3))
+    (1073741789, 1073741783)
+    >>> _chain_prime(Fraction(CHAIN_PRIME, SECOND_CHAIN_PRIME)) is None
+    True
+    """
+    q0 = Fraction(q0)
+    return next((p for p in (CHAIN_PRIME, SECOND_CHAIN_PRIME) if q0.numerator % p and q0.denominator % p), None)
+
+
 def _rsk_count(n: int, m: int) -> int:
     """The sum of (f^lambda)^2 over the partitions lambda of m with at most
     n rows, each f^lambda by the hook length formula.  By RSK it counts the
@@ -407,26 +432,28 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     Each of the (r+s)! connectors is rendered from its canonical basis word
     directly at q0 by ``specialized_word_matrices``, which is exact because
     specializing q is a ring homomorphism.  Each integer matrix, its scale
-    dropped, is flattened to a sparse vector over the occupied positions.
+    dropped, is flattened to a sparse vector over the occupied positions:
+    the entry at the label codes (row, col) (``rep.label_code``) goes to
+    position row * n^(r+s) + col.
 
     The rank is first bounded from below by the rows of the most populous
-    weight space, rendered alone and ranked mod ``CHAIN_PRIME`` by
-    ``_rank_up_to`` in the order ``ROW_ORDER_SEED`` shuffles the words
-    into, stopped at the smallest proved upper end: (r+s)! when n >= r + s,
-    since (r+s)! matrices span at most (r+s)! dimensions, and ``upper``,
-    which a caller passes only when it has proved it.  Leaving rows out of
-    every matrix is a linear map on their span, and reducing integer rows
-    mod any prime can only lower their rank, so a lower end that reaches an
-    upper end is the exact rank over Q, and is returned.  Beyond (r+s)! this
-    function proves no upper end of its own: it reads no commutant and no
-    RSK count, so a caller that compares its rank with one compares two
-    independent numbers.
+    weight space, rendered alone and ranked mod the prime ``_chain_prime``
+    picks for q0 by ``_rank_up_to`` in the order ``ROW_ORDER_SEED``
+    shuffles the words into, stopped at the smallest proved upper end:
+    (r+s)! when n >= r + s, since (r+s)! matrices span at most (r+s)!
+    dimensions, and ``upper``, which a caller passes only when it has
+    proved it.  Leaving rows out of every matrix is a linear map on their
+    span, and reducing integer rows mod any prime can only lower their
+    rank, so a lower end that reaches an upper end is the exact rank over
+    Q, and is returned.  Beyond (r+s)! this function proves no upper end of
+    its own: it reads no commutant and no RSK count, so a caller that
+    compares its rank with one compares two independent numbers.
 
-    Otherwise, or with no upper end at all, every word is rendered once,
-    and the rank is taken over Q by ``_rank_through_block``: the rank of the
-    rows' mu0 block, positions whose row and column labels both lie in the
-    most populous weight space, plus the rank of the residuals of its left
-    kernel on the full rows.
+    Otherwise, or with no upper end or no such prime at all, every word is
+    rendered once, and the rank is taken over Q by ``_rank_through_block``:
+    the rank of the rows' mu0 block, positions whose row and column labels
+    both lie in the most populous weight space, plus the rank of the
+    residuals of its left kernel on the full rows.
 
     A label count n below 1, then a negative strand count, is refused
     first.  The budget is then charged with the (r+s)! basis words and with
@@ -438,26 +465,26 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     m = r + s
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
     ResourceLimitError.check("the label index", n**m, "labels", VARIABLE_BUDGET)
-    index = {label: t for t, label in enumerate(label_tuples(n, m))}
-    size = len(index)
+    size = n**m
     words = [canonical_basis_word(connector) for connector in enumerate_connectors(ty)]
 
     def vectors(batch: list[TangleWord], start=None) -> Iterator[dict[int, int]]:
         for rows, _ in specialized_word_matrices(batch, n, q0, start):
-            yield {index[row] * size + index[col]: value for row, cols in rows.items() for col, value in cols.items()}
+            yield {row * size + col: value for row, cols in rows.items() for col, value in cols.items()}
 
-    weight_space = set(max(_weight_classes(n, ty.top), key=len))
+    weight_space = {label_code(n, label) for label in max(_weight_classes(n, ty.top), key=len)}
     ends = ([factorial(m)] if n >= m else []) + ([upper] if upper is not None else [])
-    if ends:
+    p = _chain_prime(q0)
+    if ends and p is not None:
         bound = min(ends)
         shuffled = words[:]
         random.Random(ROW_ORDER_SEED).shuffle(shuffled)
         # The shuffled rows mostly reach the end within the first bound of them, so the
         # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
         chunks = (vectors(shuffled[i : i + 2 * bound], weight_space) for i in range(0, len(shuffled), 2 * bound))
-        if _rank_up_to((row for chunk in chunks for row in chunk), CHAIN_PRIME, bound) == bound:
+        if _rank_up_to((row for chunk in chunks for row in chunk), p, bound) == bound:
             return bound
-    block = {index[row] * size + index[col] for row in weight_space for col in weight_space}
+    block = {row * size + col for row in weight_space for col in weight_space}
     return _rank_through_block(vectors(words), block)
 
 
@@ -637,7 +664,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     the requested point only, and a mismatch there is a failure.
 
     The commutation claim is checked first.  The walled ranks are then
-    decided mod p = ``CHAIN_PRIME``, from the chain
+    decided mod the prime p that ``_chain_prime`` picks, ``CHAIN_PRIME``
+    unless it divides q0's numerator or denominator, from the chain
 
         rank_p(mu0 rows) <= rank_Q(image) <= dim_Q End_U(M) <= sum m_lambda^2.
 
@@ -652,9 +680,9 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     and stops once its rows reach it; when they do not, it ranks its rows
     over Q through their mu0 block, and the commutant dimension is taken
     from the blocked system (``commutant_dim``), over Q too.  Only that
-    route can report a mismatch.  With the claim failed, or p dividing
-    q0's numerator or denominator, there is no chain and no upper end is
-    passed: an image rank that does not meet (r+s)! is ranked over Q.
+    route can report a mismatch.  With the claim failed, or both primes
+    dividing q0's numerator or denominator, there is no chain and no upper
+    end is passed: an image rank that does not meet (r+s)! is ranked over Q.
     Each side calls ``image_rank`` once.
 
     A label count n below 1, then a negative strand count, is refused
@@ -691,7 +719,7 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     boundary = algebra_type(r, s).top
     q0 = Fraction(q0)
     m = r + s
-    p = CHAIN_PRIME if q0.numerator % CHAIN_PRIME and q0.denominator % CHAIN_PRIME else None
+    p = _chain_prime(q0)
     ResourceLimitError.check("the weight signature table", (n - 1) * n**m, "variables", VARIABLE_BUDGET)
     ResourceLimitError.check("the basis dependency system", factorial(m), "variables", VARIABLE_BUDGET)
     mu0 = max(len(block) for block in _weight_classes(n, boundary))

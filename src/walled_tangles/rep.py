@@ -9,6 +9,11 @@ a local block embedded with identities on both sides.
 Matrices are sparse maps (row label tuple, column label tuple) -> Laurent
 polynomial.  Rows are indexed by the top boundary, columns by the bottom,
 and stacking words multiplies matrices in the same top-to-bottom order.
+
+The route specialized at q = q0 (``specialized_word_matrices``) keys its
+integer matrices by label codes instead: the code of a label is its index
+in ``label_tuples`` order, the label read as a base-n numeral with digits
+value - 1, the first point the most significant (``label_code``).
 """
 
 from __future__ import annotations
@@ -43,6 +48,20 @@ MultiIndex = tuple[int, ...]
 def label_tuples(n: int, width: int) -> Iterator[MultiIndex]:
     """All label tuples over 1..n of the given width, in lexicographic order."""
     return itertools.product(range(1, n + 1), repeat=width)
+
+
+def label_code(n: int, label: MultiIndex) -> int:
+    """The index of a label in ``label_tuples(n, len(label))``: the label as
+    a base-n numeral with digits value - 1, the first point the most
+    significant.
+
+    >>> label_code(3, (1, 2, 1)), list(label_tuples(3, 3)).index((1, 2, 1))
+    (3, 3)
+    """
+    code = 0
+    for value in label:
+        code = code * n + value - 1
+    return code
 
 
 def label_weight(n: int, boundary: Sequence[Orientation], label: MultiIndex) -> tuple[int, ...]:
@@ -299,48 +318,65 @@ def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
 
 
 def specialized_word_matrices(
-    words: Sequence[TangleWord], n: int, q0: ExactRational, start: Optional[Container[MultiIndex]] = None
+    words: Sequence[TangleWord], n: int, q0: ExactRational, start: Optional[Container[int]] = None
 ) -> list[tuple[dict, int]]:
     """Matrices of the words at q = q0, in input order: one (rows, scale)
     pair per word, the matrix being the integers {row: {col: entry}} / scale.
-    All words share one top boundary.
+    All words share one top boundary.  Rows and columns are label codes
+    (``label_code``), on the top and the bottom boundary.
 
     Each distinct (level, slice) pair is specialized once: its local block
     by ``evaluate``, to integers over one denominator, which is then
-    tensored with identities in integers.  The block holds every value the
-    slice matrix holds, so the denominator is the slice matrix's.  The words
-    are multiplied along their shared slice prefixes by
+    tensored with identities in integers.  On codes that is arithmetic:
+    with ``left`` points before the block, ``right`` after it and ``k``
+    points on its side, the labels pre, local and post meet in the code
+    pre * n^(k + right) + local * n^right + post.  The block holds every
+    value the slice matrix holds, so the denominator is the slice matrix's.
+    The words are multiplied along their shared slice prefixes by
     ``tangle._fold_words``.  Exact, because specializing q is a ring
     homomorphism.
 
-    Given ``start``, a set of top labels, the walk starts from the identity
-    restricted to those labels, so only those rows are rendered: the output
-    is the full output with every other row left out, and costs in
-    proportion to the rows kept.
+    Given ``start``, a set of top-label codes, the walk starts from the
+    identity restricted to those labels, so only those rows are rendered:
+    the output is the full output with every other row left out, and costs
+    in proportion to the rows kept.
     """
-    factors: dict[tuple, tuple[dict, int]] = {}  # (level, slice) -> (rows, denominator)
+    factors: dict[tuple, tuple[list, int]] = {}  # (level, slice) -> (the (col, value) pairs of each row, denominator)
+
+    def factor(level: tuple[Orientation, ...], slc) -> tuple[list, int]:
+        block = _local_block(n, level, slc)
+        values, den = block.evaluate(q0)
+        left = slc.pos - 1
+        right = len(level) - left - len(block.row_type)
+        tail = n**right
+        row_place, col_place = n ** (len(block.row_type) + right), n ** (len(block.col_type) + right)
+        local = [(label_code(n, lrow) * tail, label_code(n, lcol) * tail, v) for (lrow, lcol), v in values.items()]
+        by_row: list[list[tuple[int, int]]] = [[] for _ in range(n ** len(level))]
+        for pre in range(n**left):
+            for lrow, lcol, v in local:
+                for post in range(tail):
+                    by_row[pre * row_place + lrow + post].append((pre * col_place + lcol + post, v))
+        return by_row, den
 
     def step(value: tuple[dict, int], level: tuple[Orientation, ...], slc) -> tuple[dict, int]:
         product, scale = value
         if (level, slc) not in factors:
-            values, den = _local_block(n, level, slc).evaluate(q0)
-            by_row: dict[MultiIndex, dict[MultiIndex, int]] = {}
-            for row, col, v in _tensored(n, level, slc, values):
-                by_row.setdefault(row, {})[col] = v
-            factors[level, slc] = (by_row, den)
+            factors[level, slc] = factor(level, slc)
         by_row, den = factors[level, slc]
         below = {}
         for i, row in product.items():
-            acc: dict[MultiIndex, int] = {}
+            acc: dict[int, int] = {}
             for j, u in row.items():
-                for k, v in by_row.get(j, {}).items():
+                for k, v in by_row[j]:
                     acc[k] = acc.get(k, 0) + u * v
-            if acc := {k: v for k, v in acc.items() if v}:
+            if 0 in acc.values():  # entries rarely cancel, so a row is rebuilt only when one did
+                acc = {k: v for k, v in acc.items() if v}
+            if acc:
                 below[i] = acc
         return below, scale * den
 
     width = len(words[0].ty.top) if words else 0
-    identity = {idx: {idx: 1} for idx in label_tuples(n, width) if start is None or idx in start}
+    identity = {code: {code: 1} for code in range(n**width) if start is None or code in start}
     return _fold_words(words, (identity, 1), step)
 
 

@@ -412,7 +412,9 @@ class TestWeightRowCertificate:
         image_rank(n, r, s, Q0)
         if restricted:
             assert len(starts) == 1
-            assert starts[0] == set(largest_weight_space(n, algebra_type(r, s).top))
+            # The start is a set of label codes, positions in label_tuples order.
+            labels = list(label_tuples(n, r + s))
+            assert {labels[code] for code in starts[0]} == set(largest_weight_space(n, algebra_type(r, s).top))
         else:
             assert starts == [None]
 
@@ -814,12 +816,51 @@ class TestRankChain:
 
     def test_prime_dividing_q0_goes_straight_to_q(self, monkeypatch):
         expected = verify_schur_weyl(2, 2, 2, Q0).to_json()
+        # 5 divides the numerator of 5/3 and 3 its denominator: neither prime gives a chain.
         monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
+        monkeypatch.setattr(duality, "SECOND_CHAIN_PRIME", 3)
         calls = record_eliminations(monkeypatch)
         data = verify_schur_weyl(2, 2, 2, Q0).to_json()
         # The walled image over Q, the blocked system, and the all-down image over Q.
         assert [(name, p) for name, p, _, _ in calls] == Q_SIDE + [("_rank_of_rows", None)] + Q_SIDE
         assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    def test_second_prime_closes_the_chain_when_the_first_divides_q0(self, monkeypatch):
+        expected = verify_schur_weyl(2, 2, 2, Q0).to_json()
+        monkeypatch.setattr(duality, "CHAIN_PRIME", 5)
+        calls = record_eliminations(monkeypatch)
+        data = verify_schur_weyl(2, 2, 2, Q0).to_json()
+        assert {(name, p) for name, p, _, _ in calls} == {("_rank_up_to", duality.SECOND_CHAIN_PRIME)}
+        assert {**data, "timingsSeconds": None} == {**expected, "timingsSeconds": None}
+
+    def test_chain_prime_dividing_the_numerator_closes_the_chain_mod_the_second(self, monkeypatch):
+        # CHAIN_PRIME divides the numerator, so the chain is taken mod SECOND_CHAIN_PRIME, and the
+        # blocked commutant system, which takes minutes at this point, is never built.
+        def forbidden(*args):
+            raise AssertionError("commutant_dim called where the chain closes")
+
+        monkeypatch.setattr(duality, "commutant_dim", forbidden)
+        calls = record_eliminations(monkeypatch)
+        report = verify_schur_weyl(3, 3, 2, Fraction(duality.CHAIN_PRIME, 3))
+        assert (report.image_rank, report.commutant_dim) == (103, 103)
+        assert report.all_pass
+        assert {(name, p) for name, p, _, _ in calls} == {("_rank_up_to", duality.SECOND_CHAIN_PRIME)}
+
+    def test_q0_divisible_by_both_primes_takes_the_q_route(self, monkeypatch):
+        calls = record_eliminations(monkeypatch)
+        report = verify_schur_weyl(2, 2, 2, Fraction(duality.CHAIN_PRIME, duality.SECOND_CHAIN_PRIME))
+        assert [(name, p) for name, p, _, _ in calls] == Q_SIDE + [("_rank_of_rows", None)] + Q_SIDE
+        assert (report.image_rank, report.commutant_dim) == (14, 14)
+        assert report.all_pass
+
+    def test_chain_prime_picks_the_first_prime_to_q0(self):
+        p, second = duality.CHAIN_PRIME, duality.SECOND_CHAIN_PRIME
+        for q0 in (Q0, -Q0, Fraction(1), Fraction(-1), Fraction(2), Fraction(second, 3), Fraction(2, second)):
+            assert duality._chain_prime(q0) == p
+        for q0 in (Fraction(p, 3), Fraction(3, p), Fraction(-p * 7, 11), Fraction(p)):
+            assert duality._chain_prime(q0) == second
+        for q0 in (Fraction(p, second), Fraction(second, p), Fraction(p * second), Fraction(1, p * second)):
+            assert duality._chain_prime(q0) is None
 
     def test_cartan_only_sweep_is_a_mismatch_over_q(self, monkeypatch):
         exact = duality.generator_sweep
@@ -876,6 +917,8 @@ class TestRankChain:
             # The rank mod p reads the most populous weight space's rows alone, never every row.
             weight_space = set(largest_weight_space(n, algebra_type(side_r, side_s).top))
             mu0 = len(weight_space)
+            labels = list(label_tuples(n, side_r + side_s))
+            renders = [None if start is None else {labels[code] for code in start} for start in renders]
             (width,) = [width for _, prime, width, _ in eliminations if prime is not None]
             assert width <= mu0**2
             # Only the weight space's rows are rendered for it; a side that stops short renders

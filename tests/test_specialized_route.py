@@ -14,23 +14,33 @@ from descent_oracle import matrix_by_descent
 
 from walled_tangles.duality import _rsk_count as hook_length_count
 from walled_tangles.duality import _weight_classes, image_rank
-from walled_tangles.rep import label_tuples, specialized_word_matrices
+from walled_tangles.rep import label_code, label_tuples, specialized_word_matrices
 from walled_tangles.skein import structure_constants
 from walled_tangles.tangle import algebra_type, canonical_basis_word, enumerate_connectors
 
 POINTS = (Fraction(5, 3), Fraction(-5, 3), Fraction(2), Fraction(1), Fraction(-1))
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("width", range(5))
+def test_label_code_is_the_position_in_label_order(n, width):
+    for position, label in enumerate(label_tuples(n, width)):
+        assert label_code(n, label) == position
+
+
 @pytest.mark.parametrize("q0", POINTS, ids=str)
 @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2), (3, 2, 1)])
 def test_specialized_matrices_match_the_symbolic_route(n, r, s, q0):
-    connectors = enumerate_connectors(algebra_type(r, s))
+    ty = algebra_type(r, s)
+    connectors = enumerate_connectors(ty)
     words = [canonical_basis_word(c) for c in connectors]
     specialized = specialized_word_matrices(words, n, q0)
     assert len(specialized) == len(connectors)
+    # Rows and columns are label codes: positions in label_tuples order on the top and the bottom.
+    tops, bottoms = list(label_tuples(n, len(ty.top))), list(label_tuples(n, len(ty.bottom)))
     for connector, (rows, scale) in zip(connectors, specialized):
         entries, den = matrix_by_descent(connector, n).evaluate(q0)
-        values = {(i, k): Fraction(v, scale) for i, cols in rows.items() for k, v in cols.items()}
+        values = {(tops[i], bottoms[k]): Fraction(v, scale) for i, cols in rows.items() for k, v in cols.items()}
         assert values == {key: Fraction(v, den) for key, v in entries.items()}
         assert all(isinstance(v, int) and v for cols in rows.values() for v in cols.values())
 
@@ -39,13 +49,25 @@ def test_specialized_matrices_match_the_symbolic_route(n, r, s, q0):
 @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 2, 2), (3, 3, 0), (4, 2, 1)])
 def test_start_labels_render_exactly_their_rows(n, r, s, q0):
     ty = algebra_type(r, s)
-    words = [canonical_basis_word(c) for c in enumerate_connectors(ty)]
+    connectors = enumerate_connectors(ty)
+    words = [canonical_basis_word(c) for c in connectors]
     full = specialized_word_matrices(words, n, q0)
     labels = list(label_tuples(n, r + s))
+    codes = range(len(labels))
+    # A totally propagating connector's matrix is invertible, so it holds a row at every label.
+    invertible = [t for t, c in enumerate(connectors) if c.is_totally_propagating()]
+    assert invertible and all(set(full[t][0]) == set(codes) for t in invertible)
+    weight_space = {labels.index(label) for label in max(_weight_classes(n, ty.top), key=len)}
     rng = random.Random(n * 100 + r * 10 + s)
-    for start in (set(), set(labels), set(max(_weight_classes(n, ty.top), key=len)), set(rng.sample(labels, len(labels) // 3))):
+    seen = 0
+    for start in (set(), set(codes), weight_space, set(rng.sample(codes, len(labels) // 3))):
         restricted = specialized_word_matrices(words, n, q0, start)
         assert restricted == [({i: cols for i, cols in rows.items() if i in start}, scale) for rows, scale in full]
+        for t in invertible:
+            assert set(restricted[t][0]) == start
+            seen += len(restricted[t][0])
+    # Every label once, the weight space and a third of the labels, on each invertible word.
+    assert seen >= len(invertible) * (len(labels) + len(weight_space))
 
 
 def test_rendering_leaves_no_reference_cycle():
