@@ -360,15 +360,16 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
 
 #: Most labels a ``matrix`` may run over: n to the power of the widest level
 #: of the word, or of the boundary under ``--generators``.  At 4096 labels
-#: (Python 3.11, one core) one crossing or one generator takes about 0.4 s
-#: and 40 MB.  ``--n 4 --type "v12|v12"`` would run over 16.7 M labels.
+#: one crossing takes 0.25 s and 43 MB, and ``E(1)`` 0.8-1.3 s and 140 MB
+#: (Python 3.11, 2 shared cores); ``--n 4 --type "v12|v12"`` has 16.7 M.
 MATRIX_LABEL_BUDGET = 4096
 
 #: Most labels times factors (the word's slices, or the generators) a
 #: ``matrix`` may multiply through: each factor can touch every label, and
-#: the product fills in as the word grows.  On twelve points at n = 2 (4096
-#: labels, Python 3.11 on a shared 2-core Xeon) 8 crossings took 3.1 s and
-#: 155 MB, 16 crossings 16 s and 550 MB, and 44 crossings 67 s and 0.9 GB.
+#: the product fills in as the word grows.  On twelve points at n = 2, 8
+#: crossings take 1.3-1.6 s and 177 MB.  The budget refuses 16 and 44
+#: crossings, which took 16 s and 550 MB, and 67 s and 0.9 GB, on an earlier
+#: renderer that multiplied label-tuple slice matrices.
 MATRIX_FACTOR_BUDGET = 8 * 4096
 
 

@@ -70,7 +70,7 @@ from .rep import (
     label_code,
     label_tuples,
     label_weight,
-    slice_matrix,
+    local_block,
     specialized_word_matrices,
 )
 from .tangle import (
@@ -356,6 +356,7 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     steps of all the words are collected once, keyed by the points the
     slice touches and the slice moved to position 1, and each distinct one
     is checked exactly in q against ``generator_sweep(n)``, E(i) and F(i).
+    Its matrix is ``rep.local_block`` on those points alone.
 
     That covers K(i)^+-1 and every other Cartan element, by the weight
     lemma of ``_weight_classes``: for a block X with top t and bottom b,
@@ -389,7 +390,7 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     sweep = generator_sweep(n)
     actions: dict[tuple, OperatorMatrix] = {}  # (generator, the points of a block's side) -> its action
     for top, unit in steps:
-        block = slice_matrix(n, top, unit)
+        block = local_block(n, top, unit)
         bottom = block.col_type
         for gen in sweep:
             for side in (top, bottom):

@@ -10,10 +10,11 @@ Matrices are sparse maps (row label tuple, column label tuple) -> Laurent
 polynomial.  Rows are indexed by the top boundary, columns by the bottom,
 and stacking words multiplies matrices in the same top-to-bottom order.
 
-The route specialized at q = q0 (``specialized_word_matrices``) keys its
-integer matrices by label codes instead: the code of a label is its index
-in ``label_tuples`` order, the label read as a base-n numeral with digits
-value - 1, the first point the most significant (``label_code``).
+One renderer multiplies the slices of words, at q = q0 or symbolically:
+the fold of ``specialized_word_matrices``, keyed by label codes.  The code
+of a label is its index in ``label_tuples`` order, the label read as a
+base-n numeral with digits value - 1, the first point the most significant
+(``label_code``).  Only ``matrix_of_word`` decodes codes to label tuples.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _local_max(n: int, sweep: Sweep) -> dict:
     return local
 
 
-def _local_block(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
+def local_block(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
     """The block of a slice on the points it touches: a crossing or a valley
     on its two points of ``level``, a peak from none to the two it makes."""
     if isinstance(slc, Max):
@@ -286,55 +287,25 @@ def _local_block(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
     return OperatorMatrix(n, top, apply_slice(top, dataclasses.replace(slc, pos=1)), local)
 
 
-def _tensored(
-    n: int, level: tuple[Orientation, ...], slc, local: Mapping
-) -> Iterator[tuple[MultiIndex, MultiIndex, object]]:
-    """The entries (row, col, value) of the slice's local block, given as
-    ``{(local row, local col): value}``, tensored with identities on the
-    points of ``level`` left and right of the slice."""
-    left = slc.pos - 1
-    right = len(level) - left - (0 if isinstance(slc, Max) else 2)
-    for pre in label_tuples(n, left):
-        for post in label_tuples(n, right):
-            for (lrow, lcol), value in local.items():
-                yield pre + lrow + post, pre + lcol + post, value
-
-
-def slice_matrix(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
-    """Matrix of one slice acting between its two levels: its local block
-    tensored with identities."""
-    below = apply_slice(level, slc)
-    local = _local_block(n, level, slc).entries
-    return OperatorMatrix(n, level, below, {(row, col): v for row, col, v in _tensored(n, level, slc, local)})
-
-
-def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
-    """Matrix of a tangle word: the product of its slice matrices from the
-    top down."""
-    mat = OperatorMatrix.identity(n, word.ty.top)
-    for level, slc in zip(word.levels, word.slices):
-        mat = mat.matmul(slice_matrix(n, level, slc))
-    return mat
-
-
 def specialized_word_matrices(
-    words: Sequence[TangleWord], n: int, q0: ExactRational, start: Optional[Container[int]] = None
+    words: Sequence[TangleWord], n: int, q0: Optional[ExactRational], start: Optional[Container[int]] = None
 ) -> list[tuple[dict, int]]:
     """Matrices of the words at q = q0, in input order: one (rows, scale)
-    pair per word, the matrix being the integers {row: {col: entry}} / scale.
-    All words share one top boundary.  Rows and columns are label codes
-    (``label_code``), on the top and the bottom boundary.
+    pair per word, the matrix being {row: {col: entry}} / scale.  All words
+    share one top boundary.  Rows and columns are label codes
+    (``label_code``), on the top and the bottom boundary.  At q0 = None the
+    entries are the Laurent polynomials themselves and the scale is 1.
 
-    Each distinct (level, slice) pair is specialized once: its local block
-    by ``evaluate``, to integers over one denominator, which is then
-    tensored with identities in integers.  On codes that is arithmetic:
-    with ``left`` points before the block, ``right`` after it and ``k``
-    points on its side, the labels pre, local and post meet in the code
-    pre * n^(k + right) + local * n^right + post.  The block holds every
-    value the slice matrix holds, so the denominator is the slice matrix's.
-    The words are multiplied along their shared slice prefixes by
-    ``tangle._fold_words``.  Exact, because specializing q is a ring
-    homomorphism.
+    Each distinct (level, slice) pair is specialized once: its
+    ``local_block`` by ``evaluate``, to integers over one denominator, then
+    tensored with identities, which nothing else in src does.  On codes
+    that is arithmetic: with ``left`` points before the block, ``right``
+    after it and ``k`` points on its side, the labels pre, local and post
+    meet in the code pre * n^(k + right) + local * n^right + post.  The
+    block holds every value the slice matrix holds, so the denominator is
+    the slice matrix's.  The words are multiplied along their shared slice
+    prefixes by ``tangle._fold_words``.  Exact, because specializing q is a
+    ring homomorphism.
 
     Given ``start``, a set of top-label codes, the walk starts from the
     identity restricted to those labels, so only those rows are rendered:
@@ -342,10 +313,11 @@ def specialized_word_matrices(
     in proportion to the rows kept.
     """
     factors: dict[tuple, tuple[list, int]] = {}  # (level, slice) -> (the (col, value) pairs of each row, denominator)
+    zero, one = (ZERO, ONE) if q0 is None else (0, 1)
 
     def factor(level: tuple[Orientation, ...], slc) -> tuple[list, int]:
-        block = _local_block(n, level, slc)
-        values, den = block.evaluate(q0)
+        block = local_block(n, level, slc)
+        values, den = (block.entries, 1) if q0 is None else block.evaluate(q0)
         left = slc.pos - 1
         right = len(level) - left - len(block.row_type)
         tail = n**right
@@ -368,16 +340,27 @@ def specialized_word_matrices(
             acc: dict[int, int] = {}
             for j, u in row.items():
                 for k, v in by_row[j]:
-                    acc[k] = acc.get(k, 0) + u * v
-            if 0 in acc.values():  # entries rarely cancel, so a row is rebuilt only when one did
+                    acc[k] = acc.get(k, zero) + u * v
+            if not all(acc.values()):  # entries rarely cancel, so a row is rebuilt only when one did
                 acc = {k: v for k, v in acc.items() if v}
             if acc:
                 below[i] = acc
         return below, scale * den
 
     width = len(words[0].ty.top) if words else 0
-    identity = {code: {code: 1} for code in range(n**width) if start is None or code in start}
+    identity = {code: {code: one} for code in range(n**width) if start is None or code in start}
     return _fold_words(words, (identity, 1), step)
+
+
+def matrix_of_word(word: TangleWord, n: int) -> OperatorMatrix:
+    """Matrix of a tangle word: the product of its slice matrices from the
+    top down, by the fold with q symbolic."""
+    if n < 1:
+        raise ValueError(f"label count n must be at least 1, got {n}")
+    ((rows, _),) = specialized_word_matrices([word], n, None)
+    top, bottom = (list(label_tuples(n, len(side))) for side in (word.ty.top, word.ty.bottom))
+    entries = {(top[i], bottom[j]): v for i, row in rows.items() for j, v in row.items()}
+    return OperatorMatrix(n, word.ty.top, word.ty.bottom, entries)
 
 
 # -- connector and element matrices -------------------------------------------

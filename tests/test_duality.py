@@ -326,7 +326,7 @@ class TestExactRanks:
         rendering = (
             "_rank_of_rows",
             "_rank_up_to",
-            "slice_matrix",
+            "local_block",
             "specialized_word_matrices",
             "_first_uncommuting_step",
             "gen_on_mixed",
@@ -572,13 +572,13 @@ class TestSliceCertificate:
     def test_every_certified_step_commutes_with_the_cartan_units(self, monkeypatch, n, r, s):
         # The sweep holds E(i) and F(i) alone; the weight lemma gives K(i) and K'(i).
         blocks = []
-        exact = duality.slice_matrix
+        exact = duality.local_block
 
         def recorded(n, top, unit):
             blocks.append(exact(n, top, unit))
             return blocks[-1]
 
-        monkeypatch.setattr(duality, "slice_matrix", recorded)
+        monkeypatch.setattr(duality, "local_block", recorded)
         assert duality._first_uncommuting_step(n, r, s) is None
         assert blocks
         for block in blocks:
@@ -602,7 +602,7 @@ class TestSliceCertificate:
         assert isinstance(gen, (E, F))
         assert step.ty.top == (DOWN, DOWN)
         # The Cartan units, no longer swept, would have caught the same block.
-        block = rep.slice_matrix(n, step.ty.top, step.slices[0])
+        block = rep.local_block(n, step.ty.top, step.slices[0])
         k = gen_on_mixed(K(1), step.ty.top, n)
         assert block.matmul(k) != k.matmul(block)
 

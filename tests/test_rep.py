@@ -21,7 +21,6 @@ from walled_tangles.rep import (
     matrix_of_element,
     matrix_of_word,
     render_matrix,
-    slice_matrix,
 )
 from walled_tangles.skein import normalize
 from walled_tangles.tangle import (
@@ -152,6 +151,13 @@ class TestSliceMatrices:
         for ty in (all_down_type(1), algebra_type(1, 1)):
             m = matrix_of_word(TangleWord(ty, []), 2)
             assert m == OperatorMatrix.identity(2, ty.top)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("slices", [[], [Cross(1, FO)]], ids=["no slices", "one crossing"])
+    def test_a_label_count_below_one_is_refused(self, n, slices):
+        # A word with no slices has one label code, 0, even at n = -1: the count is checked before any is decoded.
+        with pytest.raises(ValueError, match=f"label count n must be at least 1, got {n}"):
+            matrix_of_word(TangleWord(all_down_type(2), slices), n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_turnback_matrix_entries(self, n):
