@@ -7,7 +7,8 @@ diagram matrices, and the dimension of the space of matrices commuting
 with every generator in a sweep, both at an exact rational specialization
 of q.  Each matrix is specialized to integers over one denominator, which
 no rank depends on.  Containment is proved identically in q once per
-elementary slice of the basis words, which by functoriality covers every
+elementary slice of the walled basis words, and once for the Hecke block,
+the one local step of every all-down word; by functoriality that covers every
 basis matrix (``_first_uncommuting_step``).
 
 One eliminator per field: ``_rank_of_rows`` over Q, fraction-free, and
@@ -74,7 +75,10 @@ from .rep import (
     specialized_word_matrices,
 )
 from .tangle import (
+    DOWN,
     Connector,
+    Cross,
+    Hand,
     Max,
     Orientation,
     TangleType,
@@ -350,13 +354,25 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     canonical basis words, the words ``image_rank`` specializes: those of
     the walled type (r, s), and when n < r + s, where ``verify_schur_weyl``
     stops the all-down rank at the RSK count, those of the all-down type on
-    r + s points too; each distinct type is enumerated once.  A slice
-    matrix is a local block (a crossing on 2 points, a valley from 2 points
-    to none, a peak from none to 2) tensored with identities.  The local
-    steps of all the words are collected once, keyed by the points the
-    slice touches and the slice moved to position 1, and each distinct one
-    is checked exactly in q against ``generator_sweep(n)``, E(i) and F(i).
-    Its matrix is ``rep.local_block`` on those points alone.
+    r + s points too.  A slice matrix is a local block (a crossing on 2
+    points, a valley from 2 points to none, a peak from none to 2) tensored
+    with identities.  The local steps of the walled words are collected
+    once, keyed by the points the slice touches and the slice moved to
+    position 1.  The all-down words are never built: their one step, the
+    Hecke block X+(1) on (DOWN, DOWN), is added last when n < r + s.  Each
+    distinct step is checked exactly in q against ``generator_sweep(n)``,
+    E(i) and F(i); its matrix is ``rep.local_block`` on those points alone.
+
+    Lemma: every step of every all-down canonical word is X+(1) on (DOWN,
+    DOWN).  An all-down connector has only top-to-bottom edges, so
+    ``canonical_basis_word`` closes no cap and opens no cup: it emits no
+    valley or peak, only the crossings of its bubble sort, and every level
+    is all DOWN.  The edges are sorted by their starts, the top points, so
+    the tokens start in edge-index order.  Bubble sort swaps a pair only
+    while it is inverted, and nothing else moves one token past another,
+    so each pair is swapped once and is never reordered again: at every
+    swap the left token has the smaller edge index, and the hand is
+    FIRST_OVER.
 
     That covers K(i)^+-1 and every other Cartan element, by the weight
     lemma of ``_weight_classes``: for a block X with top t and bottom b,
@@ -379,14 +395,14 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     Returns the first failing step, as a one-slice word, and generator, or
     None.
     """
-    types = dict.fromkeys([algebra_type(r, s)] + ([all_down_type(r + s)] if n < r + s else []))
     steps: dict[tuple, None] = {}
-    for ty in types:
-        for connector in enumerate_connectors(ty):
-            word = canonical_basis_word(connector)
-            for above, slc in zip(word.levels, word.slices):
-                local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
-                steps.setdefault((local, dataclasses.replace(slc, pos=1)))
+    for connector in enumerate_connectors(algebra_type(r, s)):
+        word = canonical_basis_word(connector)
+        for above, slc in zip(word.levels, word.slices):
+            local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
+            steps.setdefault((local, dataclasses.replace(slc, pos=1)))
+    if n < r + s:
+        steps.setdefault(((DOWN, DOWN), Cross(1, Hand.FIRST_OVER)))
     sweep = generator_sweep(n)
     actions: dict[tuple, OperatorMatrix] = {}  # (generator, the points of a block's side) -> its action
     for top, unit in steps:
@@ -697,7 +713,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
     end when n < m; for n >= m, m! needs no certificate.  When n < m the
-    commutation pass certifies the all-down local steps too, which puts the
+    commutation pass certifies the Hecke block too, the one local step of
+    every all-down basis word (``_first_uncommuting_step``), which puts the
     all-down image inside End_U(V^(x)m), and End_U(V^(x)m) has the RSK count
     as its dimension at every rational q0.  That is quantum Schur-Weyl
     duality (Jimbo, Lett. Math. Phys. 11 (1986); over every ring, Du,

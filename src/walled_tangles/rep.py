@@ -115,7 +115,8 @@ class OperatorMatrix:
             row, col = key
             if len(row) != len(self.row_type) or len(col) != len(self.col_type):
                 raise ValueError(f"entry {key} does not match the matrix shape")
-            acc[key] = acc.get(key, ZERO) + coeff
+            coeff = coeff if isinstance(coeff, LaurentPoly) else ZERO + coeff  # an int, or TypeError
+            acc[key] = acc[key] + coeff if key in acc else coeff
         self.entries = {k: v for k, v in acc.items() if not v.is_zero()}
 
     @classmethod

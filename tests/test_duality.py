@@ -606,26 +606,33 @@ class TestSliceCertificate:
         k = gen_on_mixed(K(1), step.ty.top, n)
         assert block.matmul(k) != k.matmul(block)
 
-    @pytest.mark.parametrize(
-        "n,r,s,types",
-        [
-            (2, 3, 0, [all_down_type(3)]),
-            (3, 2, 0, [all_down_type(2)]),
-            (2, 2, 1, [algebra_type(2, 1), all_down_type(3)]),
-            (4, 2, 1, [algebra_type(2, 1)]),
-        ],
-    )
-    def test_each_distinct_type_is_enumerated_once(self, monkeypatch, n, r, s, types):
-        enumerated = []
-        exact = duality.enumerate_connectors
+    @pytest.mark.parametrize("n,r,s", [(2, 3, 0), (3, 2, 0), (2, 2, 1), (4, 2, 1)])
+    def test_only_the_walled_words_are_enumerated_and_built(self, monkeypatch, n, r, s):
+        enumerated, built = [], []
+        enumerate_exact, build_exact = duality.enumerate_connectors, duality.canonical_basis_word
 
-        def recorded(ty):
+        def enumerate_recorded(ty):
             enumerated.append(ty)
-            return exact(ty)
+            return enumerate_exact(ty)
 
-        monkeypatch.setattr(duality, "enumerate_connectors", recorded)
+        def build_recorded(connector):
+            built.append(connector)
+            return build_exact(connector)
+
+        monkeypatch.setattr(duality, "enumerate_connectors", enumerate_recorded)
+        monkeypatch.setattr(duality, "canonical_basis_word", build_recorded)
         assert duality._first_uncommuting_step(n, r, s) is None
-        assert enumerated == types
+        assert enumerated == [algebra_type(r, s)]
+        assert built == enumerate_exact(algebra_type(r, s))
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_every_all_down_step_is_the_hecke_block(self, m):
+        # The lemma that lets the certificate add X+(1) on (v, v) instead of building the all-down words.
+        for connector in enumerate_connectors(all_down_type(m)):
+            word = canonical_basis_word(connector)
+            assert all(level == (DOWN,) * m for level in word.levels)
+            for above, slc in zip(word.levels, word.slices):
+                assert (above[slc.pos - 1 : slc.pos + 1], slc) == ((DOWN, DOWN), Cross(slc.pos, Hand.FIRST_OVER))
 
     def test_steps_are_deduplicated_before_any_word_is_built(self, monkeypatch):
         built = []
