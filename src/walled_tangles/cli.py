@@ -450,7 +450,18 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The verify flags that choose an instance, with their defaults.  ``verify
+#: all`` runs fixed instances, so it refuses every one of them.
+_INSTANCE_FLAGS = {"n": 2, "r": 1, "s": 1, "m": 3, "q0": "5/3"}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    given = [f"--{name}" for name in _INSTANCE_FLAGS if getattr(args, name) is not None]
+    if args.suite == "all" and given:
+        raise ValueError(f"verify all runs fixed instances and takes no {', '.join(given)}")
+    for name, default in _INSTANCE_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.suite in ("skein", "linking", "all") and args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     if args.suite == "hecke" and args.m < 1:
@@ -584,11 +595,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("skein", "hecke", "presentation", "linking", "duality", "all"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--m", type=int, default=3, help="largest strand count for the hecke suite")
-    p.add_argument("--q0", default="5/3", help="exact rational specialization point, negative as --q0=-5/3")
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--s", type=int)
+    p.add_argument("--m", type=int, help="largest strand count for the hecke suite")
+    p.add_argument("--q0", help="exact rational specialization point, negative as --q0=-5/3")
     p.add_argument("--seed", type=int, default=7, help="seed for the sampled suites, echoed in the report")
     p.add_argument("--count", type=int, default=25, help="sample count for the sampled suites")
     common(p, n=False)

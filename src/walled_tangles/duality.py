@@ -7,9 +7,9 @@ diagram matrices, and the dimension of the space of matrices commuting
 with every generator in a sweep, both at an exact rational specialization
 of q.  Each matrix is specialized to integers over one denominator, which
 no rank depends on.  Containment is proved identically in q once per
-elementary slice of the walled basis words, and once for the Hecke block,
-the one local step of every all-down word; by functoriality that covers every
-basis matrix (``_first_uncommuting_step``).
+distinct local step of the basis words, read off (r, s) by
+``tangle.canonical_steps`` with no word built; by functoriality that covers
+every basis matrix (``_first_uncommuting_step``).
 
 One eliminator per field: ``_rank_of_rows`` over Q, fraction-free, and
 ``_rank_up_to`` mod a prime p.  Reducing an integer matrix mod p can only
@@ -75,17 +75,14 @@ from .rep import (
     specialized_word_matrices,
 )
 from .tangle import (
-    DOWN,
     Connector,
-    Cross,
-    Hand,
-    Max,
     Orientation,
     TangleType,
     TangleWord,
     algebra_type,
     all_down_type,
     canonical_basis_word,
+    canonical_steps,
     enumerate_connectors,
     render_type,
 )
@@ -356,23 +353,15 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     stops the all-down rank at the RSK count, those of the all-down type on
     r + s points too.  A slice matrix is a local block (a crossing on 2
     points, a valley from 2 points to none, a peak from none to 2) tensored
-    with identities.  The local steps of the walled words are collected
-    once, keyed by the points the slice touches and the slice moved to
-    position 1.  The all-down words are never built: their one step, the
-    Hecke block X+(1) on (DOWN, DOWN), is added last when n < r + s.  Each
-    distinct step is checked exactly in q against ``generator_sweep(n)``,
-    E(i) and F(i); its matrix is ``rep.local_block`` on those points alone.
-
-    Lemma: every step of every all-down canonical word is X+(1) on (DOWN,
-    DOWN).  An all-down connector has only top-to-bottom edges, so
-    ``canonical_basis_word`` closes no cap and opens no cup: it emits no
-    valley or peak, only the crossings of its bubble sort, and every level
-    is all DOWN.  The edges are sorted by their starts, the top points, so
-    the tokens start in edge-index order.  Bubble sort swaps a pair only
-    while it is inverted, and nothing else moves one token past another,
-    so each pair is swapped once and is never reordered again: at every
-    swap the left token has the smaller edge index, and the hand is
-    FIRST_OVER.
+    with identities.  The distinct local steps of those words are read off
+    (r, s) by ``tangle.canonical_steps``, keyed by the points the slice
+    touches and the slice moved to position 1, and proved there from the
+    canonical layout; the all-down ones are its case (r + s, 0), the Hecke
+    block X+(1) on (DOWN, DOWN), added last.  No connector is enumerated and
+    no basis word is built.  Each step is checked exactly in q against
+    ``generator_sweep(n)``, E(i) and F(i); its matrix is ``rep.local_block``
+    on those points alone, and the first failing step in the table's order
+    is the one reported.
 
     That covers K(i)^+-1 and every other Cartan element, by the weight
     lemma of ``_weight_classes``: for a block X with top t and bottom b,
@@ -395,14 +384,7 @@ def _first_uncommuting_step(n: int, r: int, s: int) -> Optional[tuple[TangleWord
     Returns the first failing step, as a one-slice word, and generator, or
     None.
     """
-    steps: dict[tuple, None] = {}
-    for connector in enumerate_connectors(algebra_type(r, s)):
-        word = canonical_basis_word(connector)
-        for above, slc in zip(word.levels, word.slices):
-            local = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
-            steps.setdefault((local, dataclasses.replace(slc, pos=1)))
-    if n < r + s:
-        steps.setdefault(((DOWN, DOWN), Cross(1, Hand.FIRST_OVER)))
+    steps = dict.fromkeys(canonical_steps(r, s) + (canonical_steps(r + s, 0) if n < r + s else ()))
     sweep = generator_sweep(n)
     actions: dict[tuple, OperatorMatrix] = {}  # (generator, the points of a block's side) -> its action
     for top, unit in steps:
@@ -673,7 +655,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     """Run the double-commutant checks and collect the verdicts.
 
     Four claims: every basis matrix commutes with every sweep generator
-    identically in q, proved per slice by ``_first_uncommuting_step``; the
+    identically in q, proved by ``_first_uncommuting_step`` once per local
+    step that ``tangle.canonical_steps`` reads off (r, s); the
     image rank equals the commutant dimension at the specialization; the
     two annihilator defects agree; the action is faithful exactly when n is
     at least r + s.  A failed claim is recorded in the report, never raised.
@@ -714,8 +697,8 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right
     end when n < m; for n >= m, m! needs no certificate.  When n < m the
     commutation pass certifies the Hecke block too, the one local step of
-    every all-down basis word (``_first_uncommuting_step``), which puts the
-    all-down image inside End_U(V^(x)m), and End_U(V^(x)m) has the RSK count
+    every all-down basis word (``tangle.canonical_steps(m, 0)``), which puts
+    the all-down image inside End_U(V^(x)m), and End_U(V^(x)m) has the RSK count
     as its dimension at every rational q0.  That is quantum Schur-Weyl
     duality (Jimbo, Lett. Math. Phys. 11 (1986); over every ring, Du,
     Parshall and Scott, Comm. Math. Phys. 195 (1998)), and it needs only

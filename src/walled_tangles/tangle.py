@@ -610,6 +610,55 @@ def canonical_basis_word(connector: Connector) -> TangleWord:
     return TangleWord(ty, slices)
 
 
+def canonical_steps(r: int, s: int) -> tuple[tuple[tuple[Orientation, ...], Slice], ...]:
+    """The distinct local steps of the canonical basis words of type (r, s).
+
+    A step is the points its slice touches on the level above (none for a
+    peak) and the slice moved to position 1.  The canonical words of every
+    connector of ``algebra_type(r, s)`` use exactly the steps returned, and
+    the all-down type on m points is the case (m, 0): X+(1) on (v, v) alone.
+
+    Proof from the layout of ``canonical_basis_word``.  A token keeps its
+    orientation through a crossing.  The lower edge index passes over, and
+    the r top DOWN starts are indexed before the s bottom UP starts, each
+    in order: a cap or a DOWN through strand has the index of its top DOWN
+    point, below r, and a cup or an UP through strand that of its bottom UP
+    point, at least r.
+
+    * Caps.  The cap closed next has the leftmost UP end, so between its
+      ends lie only DOWN points right of its own DOWN point, and UP
+      through-ends.  Its UP end walks left past each, the higher index on
+      the left: X-(1) on (v, ^) or on (^, ^).  Then U(1) closes it on
+      (v, ^).  No other token moves, so they keep their top order.
+    * Sort.  A DOWN through strand starts and ends left of every UP one, so
+      the two never swap.  Bubble sort swaps a pair once, while it is
+      inverted, so a swapped pair is still in top order: a DOWN pair is in
+      edge order, X+(1) on (v, v), and an UP pair, indexed by its bottom
+      points, against it, X-(1) on (^, ^).
+    * Cups, the rightmost UP end first.  Each opens with N<(1), its DOWN end
+      on the left.  Its UP end then walks right past DOWN through strands
+      (lower index, X-(1) on (^, v)), past the DOWN ends of earlier cups,
+      whose UP ends lie further right (higher index, X+(1) on (^, v)), and
+      past UP through strands (lower index, X-(1) on (^, ^)).
+
+    So no other step occurs, and each needs the strands it names: a cap or a
+    cup, r, s >= 1; a second DOWN strand beside a cap, a cup or a DOWN
+    strand, r >= 2; a second UP strand beside an UP one, s >= 2; two cups,
+    r, s >= 2.  At those bounds a connector with just those strands on the
+    leftmost points, crossed or nested as named, takes each step.
+    """
+    rows = (
+        ((DOWN, UP), Cross(1, Hand.FIRST_UNDER), r >= 2 and s >= 1),
+        ((UP, UP), Cross(1, Hand.FIRST_UNDER), s >= 2),
+        ((DOWN, UP), Min(1), r >= 1 and s >= 1),
+        ((DOWN, DOWN), Cross(1, Hand.FIRST_OVER), r >= 2),
+        ((), Max(1, Sweep.RIGHT_TO_LEFT), r >= 1 and s >= 1),
+        ((UP, DOWN), Cross(1, Hand.FIRST_UNDER), r >= 2 and s >= 1),
+        ((UP, DOWN), Cross(1, Hand.FIRST_OVER), r >= 2 and s >= 2),
+    )
+    return tuple((points, step) for points, step, used in rows if used)
+
+
 # -- textual syntax -----------------------------------------------------------
 
 

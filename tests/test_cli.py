@@ -585,6 +585,16 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and argv[1] in err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--n", "5"], "--n"), (["--n", "2"], "--n"), (["--r", "3", "--s", "3"], "--r, --s"), (["--q0", "7"], "--q0"), (["--m", "9"], "--m")],
+    )
+    def test_verify_all_refuses_the_instance_flags(self, capsys, flags, named):
+        # It runs fixed instances, so these flags would change nothing; the default value is refused too.
+        code, out, err = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "3", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify all runs fixed instances and takes no {named}\n"
+
     def test_verify_all_is_deterministic(self, capsys):
         first_code, first_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")
         second_code, second_out, _ = run_cli(capsys, "verify", "all", "--seed", "7", "--count", "10")

@@ -21,6 +21,7 @@ from eval_oracle import lp_eval
 
 import walled_tangles.duality as duality
 import walled_tangles.rep as rep
+import walled_tangles.tangle as tangle
 from walled_tangles.cli import main
 from walled_tangles.duality import (
     ResourceLimitError,
@@ -37,8 +38,6 @@ from walled_tangles.skein import hecke_to_walled, identity_element, normalize, s
 from walled_tangles.tangle import (
     DOWN,
     Connector,
-    Cross,
-    Hand,
     UP,
     TangleWord,
     algebra_type,
@@ -606,45 +605,44 @@ class TestSliceCertificate:
         k = gen_on_mixed(K(1), step.ty.top, n)
         assert block.matmul(k) != k.matmul(block)
 
-    @pytest.mark.parametrize("n,r,s", [(2, 3, 0), (3, 2, 0), (2, 2, 1), (4, 2, 1)])
-    def test_only_the_walled_words_are_enumerated_and_built(self, monkeypatch, n, r, s):
-        enumerated, built = [], []
-        enumerate_exact, build_exact = duality.enumerate_connectors, duality.canonical_basis_word
+    @pytest.mark.parametrize("n,r,s", [(2, 3, 0), (3, 2, 0), (2, 2, 1), (4, 2, 1), (2, 3, 2), (2, 6, 6)])
+    def test_no_connector_or_basis_word_is_built(self, monkeypatch, n, r, s):
+        # At (2, 6, 6) enumerating the 12! connectors would not finish.
+        called = []
 
-        def enumerate_recorded(ty):
-            enumerated.append(ty)
-            return enumerate_exact(ty)
+        def spy(module, name):
+            exact = getattr(module, name)
 
-        def build_recorded(connector):
-            built.append(connector)
-            return build_exact(connector)
+            def recorded(*args, **kwargs):
+                called.append(name)
+                return exact(*args, **kwargs)
 
-        monkeypatch.setattr(duality, "enumerate_connectors", enumerate_recorded)
-        monkeypatch.setattr(duality, "canonical_basis_word", build_recorded)
+            monkeypatch.setattr(module, name, recorded)
+
+        for module in (duality, tangle):
+            for name in ("enumerate_connectors", "canonical_basis_word", "TangleWord"):
+                spy(module, name)
         assert duality._first_uncommuting_step(n, r, s) is None
-        assert enumerated == [algebra_type(r, s)]
-        assert built == enumerate_exact(algebra_type(r, s))
+        assert called == []
 
-    @pytest.mark.parametrize("m", range(8))
-    def test_every_all_down_step_is_the_hecke_block(self, m):
-        # The lemma that lets the certificate add X+(1) on (v, v) instead of building the all-down words.
-        for connector in enumerate_connectors(all_down_type(m)):
-            word = canonical_basis_word(connector)
-            assert all(level == (DOWN,) * m for level in word.levels)
-            for above, slc in zip(word.levels, word.slices):
-                assert (above[slc.pos - 1 : slc.pos + 1], slc) == ((DOWN, DOWN), Cross(slc.pos, Hand.FIRST_OVER))
+    def test_two_broken_blocks_report_the_first_in_the_lemma_order(self, monkeypatch):
+        # X-(1) on (^, ^) precedes X+(1) on (v, v) in tangle.canonical_steps at every (r, s).
+        exact = rep._local_cross
 
-    def test_steps_are_deduplicated_before_any_word_is_built(self, monkeypatch):
-        built = []
-        exact = duality.TangleWord
+        def swapped_diagonal(n, entry, hand):
+            local = exact(n, entry, hand)
+            if entry not in ((DOWN, DOWN), (UP, UP)):
+                return local
+            return {
+                (row, col): {Q: QINV, QINV: Q}.get(v, v) if row == col and row[0] == row[1] else v
+                for (row, col), v in local.items()
+            }
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return exact(*args, **kwargs)
-
-        monkeypatch.setattr(duality, "TangleWord", counted)
-        assert duality._first_uncommuting_step(2, 3, 2) is None
-        assert built == []
+        monkeypatch.setattr(rep, "_local_cross", swapped_diagonal)
+        (claim,) = [c for c in verify_schur_weyl(2, 2, 2, Q0).claims if c.name == "commutation"]
+        assert claim.detail == "slice block ^^|^^ : X-(1) does not intertwine E(i=1, l=1)"
+        step, _ = duality._first_uncommuting_step(2, 4, 2)
+        assert str(step) == "^^|^^ : X-(1)"
 
 
 class TestVerifyReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 from itertools import combinations
@@ -27,6 +28,7 @@ from walled_tangles.tangle import (
     algebra_type,
     all_down_type,
     canonical_basis_word,
+    canonical_steps,
     connector_of,
     enumerate_connectors,
     parse_type,
@@ -374,6 +376,25 @@ class TestCanonicalBasisWord:
         for c in enumerate_connectors(all_down_type(4)):
             w = canonical_basis_word(c)
             assert all(isinstance(s, Cross) and s.hand is FO for s in w.slices)
+
+    @pytest.mark.parametrize("r,s", [(r, m - r) for m in range(8) for r in range(m + 1)], ids=str)
+    def test_canonical_steps_are_the_steps_of_every_basis_word(self, r, s):
+        # Uncached, so the 5040 words of each type at r + s = 7 are not kept.
+        build = canonical_basis_word.__wrapped__
+        enumerated = set()
+        for c in enumerate_connectors(algebra_type(r, s)):
+            w = build(c)
+            if s == 0:
+                assert all(level == (DOWN,) * r for level in w.levels)
+            for above, slc in zip(w.levels, w.slices):
+                points = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
+                step = dataclasses.replace(slc, pos=1)
+                if s == 0:
+                    assert (points, step) == ((DOWN, DOWN), Cross(1, FO))
+                enumerated.add((points, step))
+        table = canonical_steps(r, s)
+        assert len(set(table)) == len(table)
+        assert set(table) == enumerated
 
     def test_spot_check_m4(self):
         ty = algebra_type(2, 2)
