@@ -56,13 +56,13 @@ flip that exchanges top and bottom vertices on one side of the wall.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from . import _record
 from .laurent import ExactRational
 from .qgroup import E, F, UGenerator, gen_on_mixed
 from .rep import (
@@ -609,14 +609,14 @@ def _highest_weight_bound(n: int, r: int, s: int, q0: ExactRational, p: int) -> 
 # -- the verification report --------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class ClaimResult:
     name: str
     holds: bool
     detail: str
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class DualityReport:
     n: int
     r: int
@@ -646,7 +646,7 @@ class DualityReport:
             "heckeAnnihilatorDim": self.hecke_annihilator_dim,
             "faithful": self.faithful,
             "allPass": self.all_pass,
-            "claims": [dataclasses.asdict(claim) for claim in self.claims],
+            "claims": [dict(zip(claim._fields, claim._key)) for claim in self.claims],
             "timingsSeconds": {name: seconds for name, seconds in self.timings},
         }
 

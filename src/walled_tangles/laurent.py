@@ -8,17 +8,18 @@ all arithmetic here is exact.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from typing import Union
 
+from . import _record
+
 #: Exact scalar type used when specializing q to a rational number.
 ExactRational = Fraction
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
+@_record(frozen=False)
 class LaurentPoly:
     """An integer Laurent polynomial in q, stored as sorted (exponent, coeff)
     pairs with no zero coefficients.  Instances are immutable by convention
@@ -41,7 +42,7 @@ class LaurentPoly:
             if not isinstance(exp, int) or not isinstance(coeff, int):
                 raise TypeError(f"exponents and coefficients must be int, got ({exp!r}, {coeff!r})")
             acc[exp] = acc.get(exp, 0) + coeff
-        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        (self.terms,) = self._key = (tuple(sorted((e, c) for e, c in acc.items() if c != 0)),)
 
     @classmethod
     def from_exponent_map(cls, coeffs: Mapping[int, int]) -> LaurentPoly:
@@ -54,7 +55,7 @@ class LaurentPoly:
         LaurentPoly('1*q^-1 + 3*q^2')
         """
         poly = object.__new__(cls)
-        poly.terms = tuple(sorted((e, c) for e, c in coeffs.items() if c))
+        (poly.terms,) = poly._key = (tuple(sorted((e, c) for e, c in coeffs.items() if c)),)
         return poly
 
     @classmethod

@@ -41,16 +41,16 @@ image.  ``tests/coproduct_oracle.py`` keeps the recursion as a reference.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Union
 
+from . import _fill, _record
 from .laurent import LaurentPoly
 from .rep import OperatorMatrix, label_tuples, label_weight
 from .tangle import DOWN, UP, Orientation
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class E:
     """Divided power of the i-th raising generator."""
 
@@ -58,7 +58,7 @@ class E:
     l: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class F:
     """Divided power of the i-th lowering generator."""
 
@@ -66,7 +66,7 @@ class F:
     l: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class K:
     """The i-th Cartan unit or its inverse."""
 
@@ -74,14 +74,14 @@ class K:
     sign: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class QH:
     """The weight unit q^h for an integer weight vector h."""
 
     weight: tuple[int, ...]
 
     def __init__(self, weight):
-        object.__setattr__(self, "weight", tuple(weight))
+        _fill(self, tuple(weight))
 
 
 UGenerator = Union[E, F, K, QH]

@@ -19,12 +19,12 @@ base-n numeral with digits value - 1, the first point the most significant
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from typing import Optional, Union
 
+from . import _record
 from .laurent import ExactRational, ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .skein import TangleElement
 from .tangle import (
@@ -81,7 +81,7 @@ def label_weight(n: int, boundary: Sequence[Orientation], label: MultiIndex) -> 
     return tuple(weight)
 
 
-@dataclasses.dataclass(init=False, eq=True)
+@_record(frozen=False)
 class OperatorMatrix:
     """A sparse exact matrix between two labeled tensor spaces.
 
@@ -96,6 +96,7 @@ class OperatorMatrix:
     row_type: tuple[Orientation, ...]
     col_type: tuple[Orientation, ...]
     entries: dict[tuple[MultiIndex, MultiIndex], LaurentPoly]
+    __hash__ = None
 
     def __init__(
         self,
@@ -106,18 +107,17 @@ class OperatorMatrix:
     ):
         if n < 1:
             raise ValueError(f"label count n must be at least 1, got {n}")
-        self.n = n
-        self.row_type = tuple(row_type)
-        self.col_type = tuple(col_type)
+        row_type, col_type = tuple(row_type), tuple(col_type)
         acc: dict[tuple[MultiIndex, MultiIndex], LaurentPoly] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for key, coeff in items:
             row, col = key
-            if len(row) != len(self.row_type) or len(col) != len(self.col_type):
+            if len(row) != len(row_type) or len(col) != len(col_type):
                 raise ValueError(f"entry {key} does not match the matrix shape")
             coeff = coeff if isinstance(coeff, LaurentPoly) else ZERO + coeff  # an int, or TypeError
             acc[key] = acc[key] + coeff if key in acc else coeff
-        self.entries = {k: v for k, v in acc.items() if not v.is_zero()}
+        entries = {k: v for k, v in acc.items() if not v.is_zero()}
+        self.n, self.row_type, self.col_type, self.entries = self._key = n, row_type, col_type, entries
 
     @classmethod
     def identity(cls, n: int, boundary: Iterable[Orientation]) -> OperatorMatrix:
@@ -285,7 +285,7 @@ def local_block(n: int, level: tuple[Orientation, ...], slc) -> OperatorMatrix:
     else:
         top = level[slc.pos - 1 : slc.pos + 1]
         local = _local_cross(n, top, slc.hand) if isinstance(slc, Cross) else _local_min(n, top)
-    return OperatorMatrix(n, top, apply_slice(top, dataclasses.replace(slc, pos=1)), local)
+    return OperatorMatrix(n, top, apply_slice(top, type(slc)(1, *slc._key[1:])), local)
 
 
 def specialized_word_matrices(

@@ -50,11 +50,11 @@ multiplies two words by one fold of their stack.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections.abc import Iterable, Mapping
 from typing import Union
 
+from . import _record
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .tangle import (
     DOWN,
@@ -86,7 +86,7 @@ from .tangle import (
 )
 
 
-@dataclasses.dataclass(init=False, eq=True)
+@_record(frozen=False)
 class TangleElement:
     """An exact linear combination of connectors of one type, at a fixed
     strand-label count n."""
@@ -94,6 +94,7 @@ class TangleElement:
     ty: TangleType
     n: int
     terms: tuple[tuple[Connector, LaurentPoly], ...]
+    __hash__ = None
 
     def __init__(
         self,
@@ -110,9 +111,8 @@ class TangleElement:
                 raise ValueError("all connectors of an element must share its type")
             coeff = coeff if isinstance(coeff, LaurentPoly) else ZERO + coeff  # an int, or TypeError
             acc[connector] = acc[connector] + coeff if connector in acc else coeff
-        self.ty = ty
-        self.n = n
-        self.terms = tuple(sorted(((c, k) for c, k in acc.items() if not k.is_zero()), key=lambda t: t[0].edges))
+        terms = tuple(sorted(((c, k) for c, k in acc.items() if not k.is_zero()), key=lambda t: t[0].edges))
+        self.ty, self.n, self.terms = self._key = ty, n, terms
 
     def _check_compatible(self, other: TangleElement) -> None:
         if self.ty != other.ty or self.n != other.n:
@@ -471,7 +471,7 @@ def structure_constants(r: int, s: int, n: int) -> dict:
 # -- presentation of the walled algebra by generators -------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class RelationResult:
     name: str
     applicable: bool
@@ -480,7 +480,7 @@ class RelationResult:
     rhs: str
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class PresentationReport:
     r: int
     s: int
@@ -497,7 +497,7 @@ class PresentationReport:
             "s": self.s,
             "n": self.n,
             "allPass": self.all_pass,
-            "relations": [dataclasses.asdict(res) for res in self.results],
+            "relations": [dict(zip(res._fields, res._key)) for res in self.results],
         }
 
 

@@ -33,12 +33,13 @@ at once, sharing the work of their common prefixes.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import itertools
 import re
 from typing import Callable, Iterable, Sequence, Union
+
+from . import _record, _setattr
 
 
 class Orientation(enum.Enum):
@@ -83,18 +84,18 @@ DOWN = Orientation.DOWN
 UP = Orientation.UP
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class Cross:
     pos: int
     hand: Hand
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class Min:
     pos: int
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class Max:
     pos: int
     sweep: Sweep
@@ -113,17 +114,20 @@ _MAX_CREATES = {
 PEAK_SWEEP = {pair: sweep for sweep, pair in _MAX_CREATES.items()}
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class TangleType:
     """Boundary data: orientations of the top and bottom points."""
 
     top: tuple[Orientation, ...]
     bottom: tuple[Orientation, ...]
 
-    def __post_init__(self) -> None:
-        for half in (self.top, self.bottom):
+    def __init__(self, top: tuple[Orientation, ...], bottom: tuple[Orientation, ...]):
+        for half in (top, bottom):
             if not all(isinstance(o, Orientation) for o in half):
                 raise TypeError("boundary halves must contain Orientation values")
+        _setattr(self, "top", top)
+        _setattr(self, "bottom", bottom)
+        _setattr(self, "_key", (top, bottom))
 
     def __str__(self) -> str:
         return render_type(self)
@@ -178,7 +182,7 @@ def apply_slice(level: tuple[Orientation, ...], s: Slice, index: int = 0) -> tup
     raise TypeError(f"not a slice: {s!r}")
 
 
-@dataclasses.dataclass(init=False, eq=True)
+@_record(frozen=False)
 class TangleWord:
     """A validated slice word together with its boundary type.
 
@@ -203,8 +207,7 @@ class TangleWord:
                 f"word ends at level {''.join(o.value for o in level)} "
                 f"but the type bottom is {''.join(o.value for o in ty.bottom)}",
             )
-        self.ty = ty
-        self.slices = slices
+        self.ty, self.slices = self._key = ty, slices
         self._levels = tuple(levels)
 
     @property
@@ -215,7 +218,7 @@ class TangleWord:
 
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.ty, self.slices))
+        return hash(self._key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -248,7 +251,7 @@ def stack(upper: TangleWord, lower: TangleWord) -> TangleWord:
 
 def shifted_slices(slices: Iterable[Slice], offset: int) -> tuple[Slice, ...]:
     """The same slices with every position moved right by ``offset``."""
-    return tuple(dataclasses.replace(s, pos=s.pos + offset) for s in slices)
+    return tuple(type(s)(s.pos + offset, *s._key[1:]) for s in slices)  # pos is each slice's first field
 
 
 def _fold_words(words: Sequence[TangleWord], start, step: Callable) -> list:
@@ -309,7 +312,7 @@ def end_vertices(ty: TangleType) -> tuple[Vertex, ...]:
     return tops + bots
 
 
-@dataclasses.dataclass(init=False, eq=True)
+@_record(frozen=False)
 class Connector:
     """The matching of boundary vertices cut out by a diagram's open strands.
 
@@ -331,9 +334,8 @@ class Connector:
             raise ValueError("edges must cover each start vertex exactly once")
         if sorted(e[1] for e in edges) != sorted(ends):
             raise ValueError("edges must cover each end vertex exactly once")
-        self.ty = ty
-        self.edges = edges
-        self._hash = hash((ty, edges))
+        self.ty, self.edges = self._key = ty, edges
+        self._hash = hash(self._key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -382,7 +384,7 @@ def crossing_sign(entry: tuple[Orientation, Orientation], hand: Hand) -> int:
     return 1 if det > 0 else -1
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class CrossingInfo:
     """One crossing of a traced diagram.
 
@@ -404,14 +406,14 @@ class CrossingInfo:
         return self.component_a == self.component_b
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class LoopInfo:
     creating_slice: int
     orientation: Orientation
     writhe: int
 
 
-@dataclasses.dataclass(frozen=True)
+@_record(frozen=True)
 class StrandGeometry:
     """Traced strands, loops and crossings of a tangle word."""
 
@@ -432,14 +434,9 @@ def strand_graph(word: TangleWord) -> StrandGeometry:
     """Trace every strand and loop of the word.
 
     Each segment of strand between two events (boundary, crossing, valley,
-    peak) gets an id.  A strand runs along a segment in the direction of the
-    segment's orientation, DOWN meaning downward, so each segment has one
-    successor, fixed when its slice is read: at a crossing a DOWN segment
-    continues into its partner below and an UP segment into its partner
-    above; after a valley the strand continues into the UP segment and after
-    a peak into the DOWN segment; an UP top segment ends at its top vertex
-    and a DOWN bottom segment at its bottom vertex.  The walks follow these
-    successors, from each start and then from each peak not yet walked.
+    peak) gets an id and, when its slice is read, the one successor that the
+    module docstring describes.  The walks follow these successors, from each
+    start and then from each peak not yet walked.
     """
     new_segment = itertools.count().__next__
     succ: dict[int, int | Vertex] = {}

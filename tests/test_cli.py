@@ -684,6 +684,14 @@ class TestParserReuse:
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert result.stdout == "0\n"
 
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # Without site (-S), only the package's own imports fill sys.modules.
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        probe = "import sys, walled_tangles.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
+
 
 class TestParseDsl:
     def test_word_with_type_header(self):

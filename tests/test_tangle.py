@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from itertools import combinations
@@ -388,7 +387,7 @@ class TestCanonicalBasisWord:
                 assert all(level == (DOWN,) * r for level in w.levels)
             for above, slc in zip(w.levels, w.slices):
                 points = () if isinstance(slc, Max) else above[slc.pos - 1 : slc.pos + 1]
-                step = dataclasses.replace(slc, pos=1)
+                (step,) = shifted_slices((slc,), 1 - slc.pos)
                 if s == 0:
                     assert (points, step) == ((DOWN, DOWN), Cross(1, FO))
                 enumerated.add((points, step))

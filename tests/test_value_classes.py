@@ -191,3 +191,25 @@ def test_the_type_checks_its_orientations():
         TangleType(("v",), ("v",))
     with pytest.raises(TypeError, match="Orientation"):
         TangleType(top=(DOWN,), bottom=(DOWN, 1))
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=_id)
+def test_frozen_fields_refuse_deletion(case):
+    obj, _, fields = case
+    name = next(iter(type(obj).__annotations__))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    assert _fields(obj) == fields
+
+
+def test_a_field_given_twice_or_unknown_is_refused():
+    with pytest.raises(TypeError):
+        E(1, i=2)
+    with pytest.raises(TypeError):
+        Cross(1, FO, pos=1)
+    with pytest.raises(TypeError):
+        LoopInfo(0, UP, 0, 1)
+    with pytest.raises(TypeError):
+        ClaimResult("x", True, detail="", note="")
+    with pytest.raises(TypeError):
+        Min()
