@@ -23,17 +23,19 @@ meet, all four are equal.  ``verify_schur_weyl`` decides the walled ranks
 this way first, and over Q, from the blocked commutant system, when the
 ends differ.
 
-Every image rank follows one rule.  Its lower end is the rank mod p of the
-rows of the most populous weight space mu0 alone, taken in a fixed seeded
-order by ``_rank_up_to``, which stops as soon as the rank reaches a proved
-upper end.  Leaving rows out of every matrix is a linear map on their span,
-so it can only lower the rank.  The upper ends are (r+s)! when n >= r + s,
-which the (r+s)! basis matrices give with no certificate; the
-highest-weight count for the walled rank; and for the all-down rank behind
-``annihilatorMatch``, the RSK count ``_rsk_count``, by quantum Schur-Weyl
-duality (``verify_schur_weyl`` says why).  The row order decides only how
-soon the elimination stops, never what is reported.  If the lower end
-meets none of them, the rank is taken over Q from the identity
+Every image rank follows one rule.  Its lower end is the rank mod p of
+rows of the most populous weight space mu0 alone, those of a seeded sample
+of its labels first and of all of them last (``image_rank``), taken in a
+fixed seeded order by ``_rank_up_to``, which stops as soon as the rank
+reaches a proved upper end.  Leaving rows out of every matrix is a linear
+map on their span, so it can only lower the rank.  The upper ends are
+(r+s)! when n >= r + s, which the (r+s)! basis matrices give with no
+certificate; the highest-weight count for the walled rank; and for the
+all-down rank behind ``annihilatorMatch``, the RSK count ``_rsk_count``,
+by quantum Schur-Weyl duality (``verify_schur_weyl`` says why).  The seed
+decides only how soon the elimination stops, never what is reported.  If
+the lower end meets none of them, the rank is taken over Q from the
+identity
 
     rank_Q(R) = rank_Q(R|C) + rank_Q(K.R),
 
@@ -107,10 +109,12 @@ CHAIN_PRIME = 1073741789
 #: denominator: 2^30 - 41, the next prime below 2^30 (``_chain_prime``).
 SECOND_CHAIN_PRIME = 1073741783
 
-#: Seed of the order in which ``image_rank`` takes the weight-space rows.  It
-#: decides only how many rows are ranked before the rank meets its upper
-#: end: in basis order the first rows are nearly dependent, and at (2, 3, 3)
-#: 601 of 720 rows are needed where the shuffled order needs 132.
+#: Seed of the order in which ``image_rank`` takes the weight-space rows: the
+#: order of the words, then the permutation of the weight space whose first
+#: labels its short rounds take.  It decides only how many rows are ranked
+#: before the rank meets its upper end: in basis order the first rows are
+#: nearly dependent, and at (2, 3, 3) 601 of 720 rows are needed where the
+#: shuffled order needs 132.
 ROW_ORDER_SEED = 1
 
 
@@ -435,21 +439,28 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     the entry at the label codes (row, col) (``rep.label_code``) goes to
     position row * n^(r+s) + col.
 
-    The rank is first bounded from below by the rows of the most populous
-    weight space, rendered alone and ranked mod the prime ``_chain_prime``
-    picks for q0 by ``_rank_up_to`` in the order ``ROW_ORDER_SEED``
-    shuffles the words into, stopped at the smallest proved upper end:
-    (r+s)! when n >= r + s, since (r+s)! matrices span at most (r+s)!
-    dimensions, and ``upper``, which a caller passes only when it has
-    proved it.  Leaving rows out of every matrix is a linear map on their
-    span, and reducing integer rows mod any prime can only lower their
-    rank, so a lower end that reaches an upper end is the exact rank over
-    Q, and is returned.  Beyond (r+s)! this function proves no upper end of
-    its own: it reads no commutant and no RSK count, so a caller that
-    compares its rank with one compares two independent numbers.
+    The rank is first bounded from below by rows of the most populous
+    weight space mu0, rendered alone and ranked mod the prime
+    ``_chain_prime`` picks for q0 by ``_rank_up_to`` in the order
+    ``ROW_ORDER_SEED`` shuffles the words into, stopped at the smallest
+    proved upper end: (r+s)! when n >= r + s, since (r+s)! matrices span at
+    most (r+s)! dimensions, and ``upper``, which a caller passes only when
+    it has proved it.  The rows come in rounds.  With k the smallest count
+    such that k |mu0| >= 4 * end, round i takes the rows of the first
+    k 2^i labels of one permutation of mu0, drawn from the same seed right
+    after the words, for as long as that is fewer than |mu0|; a last round
+    takes all of mu0, and when k >= |mu0| it is the only one.  Leaving rows
+    out of every matrix is a linear map on their span, and reducing integer
+    rows mod any prime can only lower their rank, so every round is a lower
+    end, and the first that reaches an upper end is the exact rank over Q,
+    and is returned: the seed decides how soon the rank closes, never what
+    is reported.  Beyond (r+s)! this function proves no upper end of its
+    own: it reads no commutant and no RSK count, so a caller that compares
+    its rank with one compares two independent numbers.
 
-    Otherwise, or with no upper end or no such prime at all, every word is
-    rendered once, and the rank is taken over Q by ``_rank_through_block``:
+    If no round reaches it, or with no upper end or no such prime at all,
+    every word is rendered once, and the rank is taken over Q by
+    ``_rank_through_block``:
     the rank of the rows' mu0 block, positions whose row and column labels
     both lie in the most populous weight space, plus the rank of the
     residuals of its left kernel on the full rows.
@@ -476,13 +487,22 @@ def image_rank(n: int, r: int, s: int, q0: ExactRational, upper: Optional[int] =
     p = _chain_prime(q0)
     if ends and p is not None:
         bound = min(ends)
+        rng = random.Random(ROW_ORDER_SEED)
         shuffled = words[:]
-        random.Random(ROW_ORDER_SEED).shuffle(shuffled)
-        # The shuffled rows mostly reach the end within the first bound of them, so the
-        # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
-        chunks = (vectors(shuffled[i : i + 2 * bound], weight_space) for i in range(0, len(shuffled), 2 * bound))
-        if _rank_up_to((row for chunk in chunks for row in chunk), p, bound) == bound:
-            return bound
+        rng.shuffle(shuffled)
+        starts = []
+        k = -(-4 * bound // len(weight_space))  # the smallest k with k * |mu0| >= 4 * bound
+        if 0 < k < len(weight_space):
+            order = rng.sample(sorted(weight_space), len(weight_space))
+            while k < len(order):
+                starts.append(set(order[:k]))
+                k *= 2
+        for start in starts + [weight_space]:
+            # The shuffled rows mostly reach the end within the first bound of them, so the
+            # words are rendered 2 * bound at a time, and the rest only if the rank falls short.
+            chunks = (vectors(shuffled[i : i + 2 * bound], start) for i in range(0, len(shuffled), 2 * bound))
+            if _rank_up_to((row for chunk in chunks for row in chunk), p, bound) == bound:
+                return bound
     block = {row * size + col for row in weight_space for col in weight_space}
     return _rank_through_block(vectors(words), block)
 
@@ -690,8 +710,9 @@ def verify_schur_weyl(n: int, r: int, s: int, q0: ExactRational) -> DualityRepor
     charged with its label-weight table, as in ``commutant_dim``, with its
     (r+s)! basis words, as in ``image_rank``, and with the |mu0|^2
     positions each word's mu0 rows occupy, the width of every row and pivot
-    of the image rank.  The blocked system's own charge applies on the Q
-    route alone.
+    of the image rank's last round, on all of mu0; a round on fewer labels
+    is narrower.  The blocked system's own charge applies on the Q route
+    alone.
 
     The all-down rank behind ``annihilatorMatch`` has the same chain on
     V^(x)m, m = r + s, with the RSK count ``_rsk_count(n, m)`` as its right

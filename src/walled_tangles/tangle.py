@@ -89,16 +89,30 @@ class Cross:
     pos: int
     hand: Hand
 
+    def __init__(self, pos: int, hand: Hand) -> None:
+        _setattr(self, "pos", pos)
+        _setattr(self, "hand", hand)
+        _setattr(self, "_key", (pos, hand))
+
 
 @_record(frozen=True)
 class Min:
     pos: int
+
+    def __init__(self, pos: int) -> None:
+        _setattr(self, "pos", pos)
+        _setattr(self, "_key", (pos,))
 
 
 @_record(frozen=True)
 class Max:
     pos: int
     sweep: Sweep
+
+    def __init__(self, pos: int, sweep: Sweep) -> None:
+        _setattr(self, "pos", pos)
+        _setattr(self, "sweep", sweep)
+        _setattr(self, "_key", (pos, sweep))
 
 
 Slice = Union[Cross, Min, Max]
@@ -541,7 +555,6 @@ def connector_of(word: TangleWord) -> Connector:
 # -- canonical diagram of a connector ----------------------------------------
 
 
-@functools.cache
 def canonical_basis_word(connector: Connector) -> TangleWord:
     """A canonical crossing-minimal diagram for a connector.
 

@@ -356,6 +356,26 @@ def largest_weight_space(n: int, boundary) -> list:
     return max(duality._weight_classes(n, boundary), key=len)
 
 
+def record_starts(monkeypatch, render=None) -> list:
+    """Spy on ``duality.specialized_word_matrices``: the start of each call,
+    in order.  ``render``, given, renders in its place."""
+    starts = []
+    exact = render or duality.specialized_word_matrices
+
+    def recorded(words, n, q0, start=None):
+        starts.append(start)
+        return exact(words, n, q0, start)
+
+    monkeypatch.setattr(duality, "specialized_word_matrices", recorded)
+    return starts
+
+
+def decoded_starts(n: int, m: int, starts: list) -> list:
+    """Each start, a set of label codes, as the set of its labels: codes are positions in label_tuples order."""
+    labels = list(label_tuples(n, m))
+    return [{labels[code] for code in start} for start in starts]
+
+
 def full_rows_rank(n: int, r: int, s: int, q0: Fraction) -> int:
     """Oracle for ``image_rank``: every row of every basis matrix, ranked."""
     words = [canonical_basis_word(c) for c in enumerate_connectors(algebra_type(r, s))]
@@ -400,22 +420,57 @@ class TestWeightRowCertificate:
 
     @pytest.mark.parametrize("n,r,s,restricted", [(4, 2, 2, True), (5, 3, 1, True), (3, 2, 2, False), (2, 3, 0, False)])
     def test_rows_are_restricted_only_when_n_reaches_r_plus_s(self, monkeypatch, n, r, s, restricted):
-        starts = []
-        exact = duality.specialized_word_matrices
-
-        def recorded(words, n, q0, start=None):
-            starts.append(start)
-            return exact(words, n, q0, start)
-
-        monkeypatch.setattr(duality, "specialized_word_matrices", recorded)
+        starts = record_starts(monkeypatch)
         image_rank(n, r, s, Q0)
         if restricted:
-            assert len(starts) == 1
-            # The start is a set of label codes, positions in label_tuples order.
-            labels = list(label_tuples(n, r + s))
-            assert {labels[code] for code in starts[0]} == set(largest_weight_space(n, algebra_type(r, s).top))
+            # 4 * 4! = 96 rows are asked of 28 labels at (4, 2, 2) and of 24 at (5, 3, 1): the first
+            # round takes 4 of them, and it closes the rank.
+            (start,) = decoded_starts(n, r + s, starts)
+            assert len(start) == 4 and start < set(largest_weight_space(n, algebra_type(r, s).top))
         else:
             assert starts == [None]
+
+    def test_rounds_double_inside_the_weight_space(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        # 4 * 24 rows are asked of the 66 labels of mu0 at (6, 2, 2): 2 labels stop at rank 14, and 4 close it.
+        assert image_rank(6, 2, 2, Q0) == full_rows_rank(6, 2, 2, Q0) == 24
+        decoded = decoded_starts(6, 4, starts)
+        assert [len(start) for start in decoded] == [2, 4]
+        assert decoded[0] < decoded[1] < set(largest_weight_space(6, algebra_type(2, 2).top))
+
+    def test_rounds_stop_at_a_passed_upper_end(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        # 4 * 119 rows of 64 labels: 8 labels stop at rank 113, and 16 close it.
+        assert image_rank(4, 2, 3, Q0, 119) == 119
+        assert [len(start) for start in starts] == [8, 16]
+
+    def test_an_end_no_round_reaches_is_ranked_over_q(self, monkeypatch):
+        assert full_rows_rank(3, 2, 2, Q0) == 23
+        starts = record_starts(monkeypatch)
+        ranks = record_eliminations(monkeypatch)
+        # 24 is above the rank 23 at (3, 2, 2): two short rounds, all of mu0, and then every row over Q.
+        assert image_rank(3, 2, 2, Q0, 24) == 23
+        assert [len(start) for start in starts[:-1]] == [7, 14, 15] and starts[-1] is None
+        assert [(name, p) for name, p, _, _ in ranks] == [("_rank_up_to", duality.CHAIN_PRIME)] * 3 + Q_SIDE
+
+    def test_short_rounds_end_in_all_of_the_weight_space(self, monkeypatch):
+        mu0 = len(largest_weight_space(6, algebra_type(2, 2).top))
+        exact = duality.specialized_word_matrices
+
+        def rowless_below_mu0(words, n, q0, start=None):
+            if start is not None and len(start) < mu0:
+                return [({}, 1) for _ in words]
+            return exact(words, n, q0, start)
+
+        starts = record_starts(monkeypatch, rowless_below_mu0)
+        ranks = record_eliminations(monkeypatch)
+        assert image_rank(6, 2, 2, Q0) == 24
+        # The rounds of 2 to 64 labels rank no row; the last round, all 66 of mu0, closes the rank
+        # mod p, and nothing is ranked over Q.
+        assert [len(start) for start in starts] == [2, 4, 8, 16, 32, 64, mu0] and mu0 == 66
+        assert [(name, p, rank) for name, p, _, rank in ranks] == [("_rank_up_to", duality.CHAIN_PRIME, 0)] * 6 + [
+            ("_rank_up_to", duality.CHAIN_PRIME, 24)
+        ]
 
     def test_largest_weight_space_on_two_points(self):
         assert largest_weight_space(2, (DOWN, UP)) == [(1, 1), (2, 2)]
